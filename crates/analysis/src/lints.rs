@@ -126,7 +126,8 @@ const WALLCLOCK_PATTERNS: &[&str] = &[
 /// the simulated system is already degraded, so a panic there turns a
 /// recoverable hard fault into an abort. The multi-tenant scheduler is
 /// held to the same bar: one tenant's failure must surface as a typed
-/// error, never abort its co-tenants. The serving layer too: a request
+/// error, never abort its co-tenants — and so is the UM-path executor
+/// every tenant steps. The serving layer too: a request
 /// must end as completed or a typed shed, never a panic. The checkpoint
 /// ring and the wear extent map joined the set with ECC retirement:
 /// both run exactly when the simulated device is failing, where an
@@ -142,6 +143,7 @@ const PANIC_FILES: &[&str] = &[
     "crates/core/src/ckpt.rs",
     "crates/core/src/driver.rs",
     "crates/core/src/recovery.rs",
+    "crates/baselines/src/executor/um.rs",
     "crates/sched/src/scheduler.rs",
     "crates/sched/src/tenant.rs",
     "crates/sched/src/spec.rs",

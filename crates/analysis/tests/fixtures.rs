@@ -72,6 +72,11 @@ const CASES: &[(&str, &str, &str)] = &[
         "panic-safety",
     ),
     (
+        "executor_panic.rs",
+        "crates/baselines/src/executor/um.rs",
+        "panic-safety",
+    ),
+    (
         "sched_container.rs",
         "crates/sched/src/fixture.rs",
         "determinism-container",
