@@ -10,152 +10,123 @@ use core::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// Passive bag of monotonically increasing event counters.
-///
-/// Fields are public on purpose: this is compound, passive data written by
-/// the simulator's hot paths and read by the reporting layer.
-///
-/// # Example
-///
-/// ```
-/// use deepum_sim::metrics::Counters;
-///
-/// let mut a = Counters::default();
-/// a.gpu_page_faults += 10;
-/// let mut b = Counters::default();
-/// b.gpu_page_faults += 5;
-/// a.merge(&b);
-/// assert_eq!(a.gpu_page_faults, 15);
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counters {
+/// Declares [`Counters`] from one field list and derives from the same
+/// list everything that must name every field: [`Counters::merge`],
+/// [`Counters::delta_since`], and the declaration-order array view
+/// ([`Counters::to_array`] / [`Counters::from_array`]) the snapshot
+/// codec serializes. Adding a counter is one line in the invocation
+/// below.
+macro_rules! counters {
+    ($($(#[$meta:meta])* $field:ident,)*) => {
+        /// Passive bag of monotonically increasing event counters.
+        ///
+        /// Fields are public on purpose: this is compound, passive data written by
+        /// the simulator's hot paths and read by the reporting layer.
+        ///
+        /// # Example
+        ///
+        /// ```
+        /// use deepum_sim::metrics::Counters;
+        ///
+        /// let mut a = Counters::default();
+        /// a.gpu_page_faults += 10;
+        /// let mut b = Counters::default();
+        /// b.gpu_page_faults += 5;
+        /// a.merge(&b);
+        /// assert_eq!(a.gpu_page_faults, 15);
+        /// ```
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct Counters {
+            $($(#[$meta])* pub $field: u64,)*
+        }
+
+        impl Counters {
+            /// Number of counters.
+            pub const LEN: usize = [$(stringify!($field)),*].len();
+
+            /// Adds every counter of `other` into `self`.
+            pub fn merge(&mut self, other: &Counters) {
+                $(self.$field += other.$field;)*
+            }
+
+            /// Difference `self - earlier`, for per-interval (e.g. per-iteration)
+            /// reporting.
+            ///
+            /// # Panics
+            ///
+            /// Panics in debug builds if any counter of `earlier` exceeds the
+            /// corresponding counter of `self` (counters are monotonic).
+            pub fn delta_since(&self, earlier: &Counters) -> Counters {
+                Counters {
+                    $($field: self.$field - earlier.$field,)*
+                }
+            }
+
+            /// Every counter in declaration order — the order of the serde
+            /// output and of the snapshot codec.
+            pub fn to_array(&self) -> [u64; Counters::LEN] {
+                [$(self.$field),*]
+            }
+
+            /// Rebuilds counters from [`Counters::to_array`] output.
+            pub fn from_array(values: [u64; Counters::LEN]) -> Counters {
+                let [$($field),*] = values;
+                Counters { $($field),* }
+            }
+        }
+    };
+}
+
+counters! {
     /// GPU page faults observed by the fault handler (post fault-buffer,
     /// pre deduplication) — the quantity in Table 5.
-    pub gpu_page_faults: u64,
+    gpu_page_faults,
     /// Fault-handler invocations (one per fault-buffer drain).
-    pub fault_batches: u64,
+    fault_batches,
     /// Faulted UM blocks processed by the handler loop (after grouping).
-    pub faulted_blocks: u64,
+    faulted_blocks,
     /// Pages migrated host → device on demand (fault path).
-    pub pages_faulted_in: u64,
+    pages_faulted_in,
     /// Pages migrated host → device by the prefetcher.
-    pub pages_prefetched: u64,
+    pages_prefetched,
     /// Prefetch commands consumed by the migration thread.
-    pub prefetch_commands: u64,
+    prefetch_commands,
     /// Prefetched blocks later touched by the GPU before eviction.
-    pub prefetch_hits: u64,
+    prefetch_hits,
     /// Prefetched blocks evicted (or invalidated) untouched.
-    pub prefetch_wasted: u64,
+    prefetch_wasted,
     /// Prefetch commands dropped because no device space was free and
     /// pre-eviction was disabled.
-    pub prefetch_dropped: u64,
+    prefetch_dropped,
     /// Pages evicted device → host on the fault-handling critical path.
-    pub pages_evicted_demand: u64,
+    pages_evicted_demand,
     /// Pages evicted device → host by DeepUM's pre-eviction (off-path).
-    pub pages_preevicted: u64,
+    pages_preevicted,
     /// Pages dropped without write-back because their PT block was
     /// inactive (Section 5.2).
-    pub pages_invalidated: u64,
+    pages_invalidated,
     /// Bytes moved host → device.
-    pub bytes_h2d: u64,
+    bytes_h2d,
     /// Bytes moved device → host.
-    pub bytes_d2h: u64,
+    bytes_d2h,
     /// Kernel launches intercepted by the runtime.
-    pub kernels_launched: u64,
+    kernels_launched,
     /// Next-kernel predictions made from the execution-ID table.
-    pub exec_predictions: u64,
+    exec_predictions,
     /// Next-kernel predictions that turned out wrong.
-    pub exec_mispredictions: u64,
+    exec_mispredictions,
     /// Chaining walks started by the prefetching thread.
-    pub chain_walks: u64,
+    chain_walks,
     /// UM-block correlation-table lookups.
-    pub block_table_lookups: u64,
+    block_table_lookups,
     /// UM-block correlation-table insertions/updates.
-    pub block_table_updates: u64,
+    block_table_updates,
 }
 
 impl Counters {
     /// Creates a zeroed counter bag.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Adds every counter of `other` into `self`.
-    pub fn merge(&mut self, other: &Counters) {
-        let Counters {
-            gpu_page_faults,
-            fault_batches,
-            faulted_blocks,
-            pages_faulted_in,
-            pages_prefetched,
-            prefetch_commands,
-            prefetch_hits,
-            prefetch_wasted,
-            prefetch_dropped,
-            pages_evicted_demand,
-            pages_preevicted,
-            pages_invalidated,
-            bytes_h2d,
-            bytes_d2h,
-            kernels_launched,
-            exec_predictions,
-            exec_mispredictions,
-            chain_walks,
-            block_table_lookups,
-            block_table_updates,
-        } = other;
-        self.gpu_page_faults += gpu_page_faults;
-        self.fault_batches += fault_batches;
-        self.faulted_blocks += faulted_blocks;
-        self.pages_faulted_in += pages_faulted_in;
-        self.pages_prefetched += pages_prefetched;
-        self.prefetch_commands += prefetch_commands;
-        self.prefetch_hits += prefetch_hits;
-        self.prefetch_wasted += prefetch_wasted;
-        self.prefetch_dropped += prefetch_dropped;
-        self.pages_evicted_demand += pages_evicted_demand;
-        self.pages_preevicted += pages_preevicted;
-        self.pages_invalidated += pages_invalidated;
-        self.bytes_h2d += bytes_h2d;
-        self.bytes_d2h += bytes_d2h;
-        self.kernels_launched += kernels_launched;
-        self.exec_predictions += exec_predictions;
-        self.exec_mispredictions += exec_mispredictions;
-        self.chain_walks += chain_walks;
-        self.block_table_lookups += block_table_lookups;
-        self.block_table_updates += block_table_updates;
-    }
-
-    /// Difference `self - earlier`, for per-interval (e.g. per-iteration)
-    /// reporting.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if any counter of `earlier` exceeds the
-    /// corresponding counter of `self` (counters are monotonic).
-    pub fn delta_since(&self, earlier: &Counters) -> Counters {
-        Counters {
-            gpu_page_faults: self.gpu_page_faults - earlier.gpu_page_faults,
-            fault_batches: self.fault_batches - earlier.fault_batches,
-            faulted_blocks: self.faulted_blocks - earlier.faulted_blocks,
-            pages_faulted_in: self.pages_faulted_in - earlier.pages_faulted_in,
-            pages_prefetched: self.pages_prefetched - earlier.pages_prefetched,
-            prefetch_commands: self.prefetch_commands - earlier.prefetch_commands,
-            prefetch_hits: self.prefetch_hits - earlier.prefetch_hits,
-            prefetch_wasted: self.prefetch_wasted - earlier.prefetch_wasted,
-            prefetch_dropped: self.prefetch_dropped - earlier.prefetch_dropped,
-            pages_evicted_demand: self.pages_evicted_demand - earlier.pages_evicted_demand,
-            pages_preevicted: self.pages_preevicted - earlier.pages_preevicted,
-            pages_invalidated: self.pages_invalidated - earlier.pages_invalidated,
-            bytes_h2d: self.bytes_h2d - earlier.bytes_h2d,
-            bytes_d2h: self.bytes_d2h - earlier.bytes_d2h,
-            kernels_launched: self.kernels_launched - earlier.kernels_launched,
-            exec_predictions: self.exec_predictions - earlier.exec_predictions,
-            exec_mispredictions: self.exec_mispredictions - earlier.exec_mispredictions,
-            chain_walks: self.chain_walks - earlier.chain_walks,
-            block_table_lookups: self.block_table_lookups - earlier.block_table_lookups,
-            block_table_updates: self.block_table_updates - earlier.block_table_updates,
-        }
     }
 
     /// Total pages moved host → device (fault path + prefetch path).
@@ -214,6 +185,17 @@ mod tests {
         let d = late.delta_since(&early);
         assert_eq!(d.kernels_launched, 15);
         assert_eq!(d.gpu_page_faults, 5);
+    }
+
+    #[test]
+    fn array_view_round_trips_in_declaration_order() {
+        let mut c = Counters::new();
+        c.gpu_page_faults = 1;
+        c.block_table_updates = 20;
+        let a = c.to_array();
+        assert_eq!(a.len(), 20);
+        assert_eq!((a[0], a[19]), (1, 20));
+        assert_eq!(Counters::from_array(a), c);
     }
 
     #[test]
