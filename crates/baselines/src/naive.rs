@@ -12,7 +12,7 @@ use deepum_sim::metrics::Counters;
 use deepum_sim::time::Ns;
 use deepum_trace::SharedTracer;
 use deepum_um::driver::UmDriver;
-use deepum_um::snapshot::SnapshotReader;
+use deepum_um::snapshot::{SnapshotReader, SnapshotWriter};
 
 /// Newtype over [`UmDriver`] that also implements [`LaunchObserver`]
 /// (ignoring runtime notifications), so the UM executor can drive naive
@@ -80,7 +80,7 @@ impl UmBackend for NaiveUm {
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
-        let mut w = deepum_um::snapshot::driver_snapshot_writer(&self.um);
+        let mut w = SnapshotWriter::new();
         w.u64(self.kernels_launched);
         deepum_um::snapshot::write_driver_state(&self.um, &mut w);
         Some(w.finish())

@@ -175,10 +175,7 @@ fn read_opt_u32(r: &mut SnapshotReader<'_>) -> Result<Option<u32>, SnapshotError
 /// UM driver, correlation tables, footprints, execution context, and
 /// every piece of prefetching-thread state — into one snapshot envelope.
 pub fn snapshot_deepum(d: &DeepumDriver) -> Vec<u8> {
-    // The envelope version follows the nested UM driver: v3 while the
-    // device is pristine (byte-identical to pre-wear builds), v4 once
-    // any page has been retired.
-    let mut w = deepum_um::snapshot::driver_snapshot_writer(&d.um);
+    let mut w = SnapshotWriter::new();
     deepum_um::snapshot::write_driver_state(&d.um, &mut w);
     d.exec_corr.encode_into(&mut w);
 
