@@ -24,10 +24,10 @@
 //! a faster run is wanted; default 1.0 = the paper's configuration), and
 //! `--out DIR` (default `results`).
 //!
-//! Criterion microbenchmarks (`benches/`) cover the hot data structures:
-//! correlation-table updates and chaining, the classic pair-based
-//! prefetcher, SPSC queue throughput, fault grouping, page-mask algebra,
-//! and the caching allocator's alloc/free churn.
+//! Performance is measured end to end, not per data structure:
+//! `deepum_suite` times the full cell grid against the digest ratchet,
+//! and the standalone `examples/benchmark` package splits a cell's wall
+//! time across the layers of the stack.
 
 #![forbid(unsafe_code)]
 
