@@ -78,23 +78,15 @@ impl CudaRuntime {
     /// Creates a runtime whose UM space is backed by `host_capacity`
     /// bytes, with the default interception overhead.
     pub fn new(host_capacity: u64) -> Self {
-        Self::with_intercept_cost(host_capacity, Ns::from_micros(2))
-    }
-
-    /// Creates a runtime with an explicit per-launch interception cost
-    /// (hashing + callback + ioctl).
-    pub fn with_intercept_cost(host_capacity: u64, launch_intercept_cost: Ns) -> Self {
-        CudaRuntime {
-            space: UmSpace::new(host_capacity),
-            exec_table: ExecutionIdTable::new(),
-            launch_intercept_cost,
-        }
+        Self::with_va_base(host_capacity, 0, Ns::from_micros(2))
     }
 
     /// Creates a runtime whose UM space starts allocating at `va_base`
-    /// (block-aligned) instead of address zero. Multi-tenant runs give
-    /// each tenant a disjoint VA region of the shared driver's address
-    /// space, so block numbers never collide across tenants.
+    /// (block-aligned) instead of address zero, with an explicit
+    /// per-launch interception cost (hashing + callback + ioctl).
+    /// Multi-tenant runs give each tenant a disjoint VA region of the
+    /// shared driver's address space, so block numbers never collide
+    /// across tenants.
     pub fn with_va_base(host_capacity: u64, va_base: u64, launch_intercept_cost: Ns) -> Self {
         CudaRuntime {
             space: UmSpace::with_base(host_capacity, va_base),
