@@ -3,13 +3,10 @@
 # committed Cargo.lock so results are reproducible offline.
 #
 # Optional stages:
-#   --soak      run the deepum-chaos crash-recovery soak (fixed seed
-#               grid, wall-clock budgeted) plus the governed
-#               oversubscription sweep, the multi-tenant scheduler
-#               sweep, the inference-serving sweep, the device-wear
-#               sweep (two retirement rates), and the
-#               serial-vs-parallel determinism sweep. Off by default:
-#               tier-1 stays fast.
+#   --soak      run every row of the deepum_chaos soak: the SOAK table
+#               in crates/bench/src/chaos.rs. Seed 0 of each row also
+#               runs as a deepum-bench unit test on every invocation.
+#               Off by default: tier-1 stays fast.
 #   --bench     run the full deepum_suite grid (serial + parallel with
 #               byte-identity asserted, gated against
 #               ci/bench-baseline.json for per-cell hash drift and
@@ -57,31 +54,7 @@ cargo fmt --check
 
 if [ "$SOAK" -eq 1 ]; then
   echo "== chaos soak =="
-  cargo run -q --locked --release -p deepum-bench --bin deepum_chaos -- \
-    --seeds 16 --budget-secs 300 --iters 2
-  echo "== oversubscription soak =="
-  for ratio in 150 250 400; do
-    cargo run -q --locked --release -p deepum-bench --bin deepum_chaos -- \
-      --oversub "$ratio" --seeds 8 --budget-secs 120 --iters 2
-  done
-  echo "== multi-tenant soak =="
-  for tenants in 2 4 8; do
-    cargo run -q --locked --release -p deepum-bench --bin deepum_chaos -- \
-      --tenants "$tenants" --seeds 8 --budget-secs 120 --iters 2
-  done
-  echo "== serving soak =="
-  for rps in 2 6; do
-    cargo run -q --locked --release -p deepum-bench --bin deepum_chaos -- \
-      --serve "$rps" --seeds 8 --budget-secs 120
-  done
-  echo "== device-wear soak =="
-  for ppm in 500 50000; do
-    cargo run -q --locked --release -p deepum-bench --bin deepum_chaos -- \
-      --wear "$ppm" --seeds 8 --budget-secs 120 --iters 2
-  done
-  echo "== parallel determinism soak =="
-  cargo run -q --locked --release -p deepum-bench --bin deepum_chaos -- \
-    --parallel --seeds 16 --budget-secs 120 --iters 2
+  cargo run -q --locked --release -p deepum-bench --bin deepum_chaos
 fi
 
 if [ "$BENCH" -eq 1 ]; then

@@ -266,9 +266,6 @@ pub struct WearReport {
 /// absent section is *omitted* from the JSON rather than rendered as
 /// `null`, so reports of runs without the corresponding subsystem stay
 /// byte-identical to reports produced before that subsystem existed.
-/// Deserialization still accepts explicit `null`s, so reports written
-/// by older builds (bench cache ≤ v13 emitted `"table_bytes":null` /
-/// `"health":null`) keep parsing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Workload name (`"gpt2-xl/b7"`).
@@ -458,23 +455,6 @@ mod tests {
         assert!(!json.contains("table_bytes"));
         assert!(!json.contains("health"));
         let back: RunReport = serde_json::from_str(&json).expect("report parses");
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn legacy_null_members_still_parse() {
-        // Bench-cache files written before v14 rendered `table_bytes`
-        // and `health` as explicit nulls; those reports must keep
-        // deserializing (to `None`) even though we no longer emit them.
-        let r = report(&[10, 10]);
-        let json = serde_json::to_string(&r).expect("report serializes");
-        let with_nulls = json.replacen(
-            "\"total\":",
-            "\"table_bytes\":null,\"health\":null,\"total\":",
-            1,
-        );
-        assert_ne!(json, with_nulls, "splice must hit");
-        let back: RunReport = serde_json::from_str(&with_nulls).expect("legacy report parses");
         assert_eq!(back, r);
     }
 

@@ -198,18 +198,4 @@ mod tests {
         let body = serde_json::to_string(&dummy()).unwrap();
         assert!(!body.contains("null"), "{body}");
     }
-
-    #[test]
-    fn pre_wear_cache_bodies_still_parse() {
-        // A wear-free cached body is byte-identical to a v15-era one
-        // (the `wear` member is omitted, not null), so the new schema
-        // must keep parsing it.
-        let legacy = serde_json::to_string(&Cached::Ok(Box::new(dummy()))).unwrap();
-        assert!(!legacy.contains("wear"), "{legacy}");
-        let parsed: Cached = serde_json::from_str(&legacy).unwrap();
-        match parsed {
-            Cached::Ok(r) => assert!(r.wear.is_none()),
-            Cached::Err(e) => panic!("expected Ok, got {e:?}"),
-        }
-    }
 }

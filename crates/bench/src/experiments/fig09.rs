@@ -14,8 +14,8 @@ use serde::{Deserialize, Serialize};
 use crate::cache::RunCache;
 use crate::grids::fig9_cells;
 use crate::opts::Opts;
-use crate::systems::{run_system, RunParams, System};
 use crate::table::{ratio, secs, Table};
+use deepum_baselines::suite::{run_system, RunParams, System};
 
 /// One grid cell's results across all systems.
 #[derive(Debug, Clone, Serialize, Deserialize)]

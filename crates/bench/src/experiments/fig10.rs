@@ -13,8 +13,8 @@ use serde::{Deserialize, Serialize};
 use crate::cache::RunCache;
 use crate::grids::{middle_batch, FIG9_GRID};
 use crate::opts::Opts;
-use crate::systems::{run_system, RunParams, System};
 use crate::table::Table;
+use deepum_baselines::suite::{run_system, RunParams, System};
 
 /// Normalized runtimes for one model.
 #[derive(Debug, Clone, Serialize, Deserialize)]

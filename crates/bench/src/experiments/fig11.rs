@@ -11,8 +11,8 @@ use serde::{Deserialize, Serialize};
 use crate::cache::RunCache;
 use crate::grids::{middle_batch, FIG9_GRID};
 use crate::opts::Opts;
-use crate::systems::{run_system, RunParams, System};
 use crate::table::Table;
+use deepum_baselines::suite::{run_system, RunParams, System};
 
 /// The swept look-ahead degrees.
 pub const DEGREES: &[usize] = &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512];

@@ -11,8 +11,8 @@ use serde::{Deserialize, Serialize};
 use crate::cache::RunCache;
 use crate::grids::{middle_batch, FIG9_GRID};
 use crate::opts::Opts;
-use crate::systems::{run_system, RunParams, System};
 use crate::table::Table;
+use deepum_baselines::suite::{run_system, RunParams, System};
 
 /// The Table 6 configurations: `(Assoc, NumSuccs, NumRows)`.
 pub const CONFIGS: &[(usize, usize, usize)] = &[

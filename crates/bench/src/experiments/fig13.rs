@@ -14,8 +14,8 @@ use serde::{Deserialize, Serialize};
 use crate::cache::RunCache;
 use crate::grids::FIG13_GRID;
 use crate::opts::Opts;
-use crate::systems::{run_system, RunParams, System};
 use crate::table::{ratio, Table};
+use deepum_baselines::suite::{run_system, RunParams, System};
 
 /// The Fig. 13 systems, in presentation order.
 pub fn systems() -> Vec<System> {

@@ -16,8 +16,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::RunCache;
 use crate::opts::Opts;
-use crate::systems::{run_system, RunParams, System};
 use crate::table::Table;
+use deepum_baselines::suite::{run_system, RunParams, System};
 
 /// The Table 3 models with the paper's LMS-side starting points.
 pub const MODELS: &[(ModelKind, usize)] = &[

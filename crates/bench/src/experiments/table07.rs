@@ -11,8 +11,8 @@ use serde::{Deserialize, Serialize};
 use crate::cache::RunCache;
 use crate::experiments::table03::{deepum_alloc_probe, max_batch};
 use crate::opts::Opts;
-use crate::systems::{run_system, RunParams, System};
 use crate::table::Table;
+use deepum_baselines::suite::{run_system, RunParams, System};
 
 /// The Table 7 workloads with search starting points.
 pub const MODELS: &[(ModelKind, usize)] = &[

@@ -18,11 +18,16 @@
 //! | `table07_tf_max_batch` | Table 7 max batches vs TF-based systems     |
 //! | `table08_qualitative`  | Table 8 qualitative capability matrix       |
 //!
-//! Common options on every binary: `--iters N` (default 3; the first
-//! iteration is cold/warm-up), `--scale F` (scales batch sizes *and*
-//! device/host memory together, preserving oversubscription ratios when
-//! a faster run is wanted; default 1.0 = the paper's configuration), and
-//! `--out DIR` (default `results`).
+//! Common options on every binary above: `--iters N` (default 3; the
+//! first iteration is cold/warm-up), `--scale F` (scales batch sizes
+//! *and* device/host memory together, preserving oversubscription
+//! ratios when a faster run is wanted; default 1.0 = the paper's
+//! configuration), and `--out DIR` (default `results`).
+//!
+//! Three binaries reproduce no paper artifact: `deepum_suite` (the full
+//! cell grid, serial vs parallel), `deepum_mtbench` (multi-tenant and
+//! serving throughput), and `deepum_chaos` (the chaos soak: every row of
+//! [`chaos::SOAK`], or only the rows named as arguments).
 //!
 //! Performance is measured end to end, not per data structure:
 //! `deepum_suite` times the full cell grid against the digest ratchet,
@@ -32,13 +37,12 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+pub mod chaos;
 pub mod experiments;
 pub mod grids;
 pub mod opts;
 pub mod suite;
-pub mod systems;
 pub mod table;
 
 pub use opts::Opts;
-pub use systems::System;
 pub use table::Table;

@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize};
 use crate::experiments::{fig11, fig12, fig13};
 use crate::grids::{fig9_cells, middle_batch, FIG13_GRID};
 use crate::opts::Opts;
-use crate::systems::{run_system, RunParams, System};
+use deepum_baselines::suite::{run_system, RunParams, System};
 
 /// Training iterations per suite cell (`run_suite.sh` passes `--iters 2`).
 pub const SUITE_ITERS: usize = 2;
@@ -259,7 +259,8 @@ pub fn run_parallel(cells: &[SuiteCell]) -> Vec<CellOutcome> {
 }
 
 /// Fans an arbitrary job list out on the rayon pool, preserving input
-/// order (shared by `deepum_chaos --parallel` and the equivalence suite).
+/// order (shared by the chaos soak's `parallel` row and the equivalence
+/// suite).
 pub fn map_parallel<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,

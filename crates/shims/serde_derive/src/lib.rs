@@ -373,9 +373,8 @@ fn gen_deserialize(item: &Item) -> String {
                 .map(|f| {
                     let fname = &f.name;
                     if f.skip_if_none {
-                        // An omitted member is `None`; a present one
-                        // (including an explicit null from the legacy
-                        // always-emit format) goes through from_value.
+                        // An omitted member is `None`; a present one,
+                        // `null` included, goes through from_value.
                         format!(
                             "{fname}: match __v.get(\"{fname}\") {{\n\
                                  ::std::option::Option::None => ::std::option::Option::None,\n\

@@ -445,6 +445,29 @@ mod tests {
         assert_eq!(back.0, Value::String("é😀".to_string()));
     }
 
+    #[test]
+    fn skipped_option_member_parses_omitted_null_and_present() {
+        #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+        struct Section {
+            total: u64,
+            #[serde(skip_serializing_if = "Option::is_none")]
+            extra: Option<u64>,
+        }
+        let absent = Section {
+            total: 1,
+            extra: None,
+        };
+        assert_eq!(to_string(&absent).unwrap(), "{\"total\":1}");
+        for (text, extra) in [
+            ("{\"total\":1}", None),
+            ("{\"total\":1,\"extra\":null}", None),
+            ("{\"total\":1,\"extra\":5}", Some(5)),
+        ] {
+            let back: Section = from_str(text).unwrap();
+            assert_eq!(back, Section { total: 1, extra }, "{text}");
+        }
+    }
+
     /// Test helper passing a raw `Value` through the trait-based API.
     #[derive(Debug, PartialEq, Clone)]
     struct ValueCarrier(Value);
