@@ -240,29 +240,32 @@ impl VictimPolicy<'_> {
     }
 }
 
-/// Victim-scan order for the protection-honouring pass:
-/// least-recently-migrated order, with ReadMostly-duplicated blocks
-/// partitioned to the back (each partition keeps LRU order). With no
-/// ReadMostly hints this is exactly the LRU order, so unhinted runs
-/// stay byte-identical to pre-hint builds.
+/// Victim-scan order: least-recently-migrated order, with — when
+/// `partition` is set, as for the protection-honouring pass —
+/// ReadMostly-duplicated blocks partitioned to the back (each partition
+/// keeps LRU order). Unpartitioned, or with no ReadMostly hints, this is
+/// exactly the LRU order, so unhinted runs stay byte-identical to
+/// pre-hint builds.
 ///
 /// Yielded lazily: the eviction scan usually stops after a handful of
 /// victims, so materializing the whole order (the old `Vec` form) paid
 /// an O(resident-blocks) allocation and copy per eviction call for a
-/// prefix that is almost never consumed. The chain below visits the
-/// exact same sequence — when `no_read_mostly()` the first filter
-/// passes everything and the second passes nothing, which only walks
-/// the LRU a second time in the rare scan-exhausted case.
+/// prefix that is almost never consumed. In plain LRU order the first
+/// filter passes everything and the tail is cut to nothing, so the LRU
+/// is walked once.
 pub fn victim_scan<'a>(
     lru: &'a LruMigrated,
     hints: &'a HintTable,
+    partition: bool,
 ) -> impl Iterator<Item = (Ns, BlockNum)> + 'a {
-    let plain = hints.no_read_mostly();
+    let plain = !partition || hints.no_read_mostly();
+    let tail = if plain { 0 } else { usize::MAX };
     lru.iter()
         .filter(move |e| plain || !hints.is_read_mostly(e.1))
         .chain(
             lru.iter()
-                .filter(move |e| !plain && hints.is_read_mostly(e.1)),
+                .take(tail)
+                .filter(move |e| hints.is_read_mostly(e.1)),
         )
 }
 
@@ -397,7 +400,7 @@ mod tests {
         }
         // No hints: the scan is exactly the LRU order.
         let plain = HintTable::new();
-        let scanned: Vec<_> = victim_scan(&lru, &plain).collect();
+        let scanned: Vec<_> = victim_scan(&lru, &plain, true).collect();
         assert_eq!(scanned, lru.iter().collect::<Vec<_>>());
         // ReadMostly blocks partition to the back, each half LRU-ordered.
         let mut hints = HintTable::new();
@@ -407,9 +410,12 @@ mod tests {
         let mut eager: Vec<(Ns, BlockNum)> = Vec::new();
         eager.extend(lru.iter().filter(|e| !hints.is_read_mostly(e.1)));
         eager.extend(lru.iter().filter(|e| hints.is_read_mostly(e.1)));
-        let lazy: Vec<_> = victim_scan(&lru, &hints).collect();
+        let lazy: Vec<_> = victim_scan(&lru, &hints, true).collect();
         assert_eq!(lazy, eager);
         assert_eq!(lazy.len(), lru.len());
+        // Unpartitioned, the scan is the LRU order whatever the hints.
+        let unpartitioned: Vec<_> = victim_scan(&lru, &hints, false).collect();
+        assert_eq!(unpartitioned, lru.iter().collect::<Vec<_>>());
     }
 
     #[test]

@@ -18,14 +18,32 @@ use deepum_mem::{BlockNum, PageMask, TenantId};
 use deepum_sim::time::Ns;
 use deepum_trace::EvictReason;
 
+/// One victim picked by the eviction scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Victim {
+    /// The block's least-recently-migrated key.
+    pub key: Ns,
+    /// The victim block.
+    pub block: BlockNum,
+    /// Why the scan picked it.
+    pub reason: EvictReason,
+    /// Tenant charged with the eviction; `None` on an untenanted driver.
+    pub charge: Option<TenantId>,
+    /// Resident pages the eviction frees.
+    pub pages: u64,
+}
+
 /// Reusable buffers for one driver's fault-drain hot paths.
 #[derive(Debug, Default)]
 pub struct DrainScratch {
-    /// Selected eviction victims: (LRU key, block, reason).
-    pub victims: Vec<(Ns, BlockNum, EvictReason)>,
-    /// Blocks passed over purely for refault cooldown: (block,
-    /// remaining kernels).
-    pub cooldown_skips: Vec<(BlockNum, u64)>,
+    /// Selected eviction victims.
+    pub victims: Vec<Victim>,
+    /// Blocks passed over purely for refault cooldown: (the scope whose
+    /// governor spared it, block, remaining kernels).
+    pub cooldown_skips: Vec<(Option<TenantId>, BlockNum, u64)>,
+    /// Charge scopes of the eviction scan, in scan order: a tenant, or
+    /// `None` for an untenanted driver's whole device.
+    pub scopes: Vec<Option<TenantId>>,
     /// Per-block fault groups of the current drain batch.
     pub groups: Vec<(BlockNum, PageMask)>,
     /// Residency drops per owner observed while releasing a range.
