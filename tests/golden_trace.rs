@@ -264,7 +264,8 @@ fn golden_multitenant_pressure() {
         );
     }
 
-    // The golden copy must exercise all four tenancy event kinds; a
+    // The golden copy must exercise all four tenancy event kinds, the
+    // fair-share override pass and per-tenant cooldown routing; a
     // regression that silences one should fail loudly here.
     let golden =
         std::fs::read_to_string(golden_path("multitenant_pressure.jsonl")).expect("golden");
@@ -273,6 +274,8 @@ fn golden_multitenant_pressure() {
         "TenantDenied",
         "TenantEvictionCharged",
         "PressureSignal",
+        "ProtectedOverride",
+        "VictimCooldownSkip",
     ] {
         assert!(
             golden.contains(kind),
