@@ -12,7 +12,9 @@
 //! * Under device pressure, a tenant's pre-eviction may evict protected
 //!   blocks (the fair-share `ProtectedOverride` pass) where the solo
 //!   driver drops the prefetch. The device therefore holds the whole
-//!   working set with room to spare.
+//!   working set with room to spare. The `deepum-um` driver unit test
+//!   `lone_tenant_selects_the_solo_victims` pins this divergence, and
+//!   that a lone tenant otherwise picks the solo driver's victims.
 //! * A tenant-scoped restore spills the tenant's residency to host, so
 //!   the replay refaults it in-band, while a solo restore reinstates the
 //!   checkpointed residency. Both hard faults therefore rewind to the
