@@ -11,7 +11,8 @@
 #               byte-identity asserted, gated against
 #               ci/bench-baseline.json for per-cell hash drift and
 #               >25% wall-clock regressions) emitting BENCH_suite.json,
-#               then deepum_mtbench emitting BENCH_multitenant.json
+#               re-render EXPERIMENTS.md from its reports and fail if
+#               the committed copy differs, then deepum_mtbench emitting BENCH_multitenant.json
 #               (simulated-kernels/sec and wall-clock, solo vs 2/4/8
 #               tenants) plus BENCH_serving.json (requests/sec and
 #               simulated-kernels/sec at 1/2/4 endpoints) in the
@@ -59,8 +60,18 @@ fi
 
 if [ "$BENCH" -eq 1 ]; then
   echo "== suite bench =="
+  # EXPERIMENTS.md holds only simulated, deterministic numbers, so any
+  # difference from the re-rendered copy means it is stale. The wall
+  # gate's verdict is kept and reported after the diff.
+  RENDERED="$(mktemp -d)/EXPERIMENTS.md"
+  SUITE_STATUS=0
   cargo run -q --locked --release -p deepum-bench --bin deepum_suite -- \
-    --baseline ci/bench-baseline.json --out BENCH_suite.json
+    --baseline ci/bench-baseline.json --out BENCH_suite.json \
+    --experiments "$RENDERED" || SUITE_STATUS=$?
+  if [ -f "$RENDERED" ]; then
+    diff -u EXPERIMENTS.md "$RENDERED"
+  fi
+  [ "$SUITE_STATUS" -eq 0 ] || exit "$SUITE_STATUS"
   echo "== multi-tenant bench =="
   cargo run -q --locked --release -p deepum-bench --bin deepum_mtbench
   echo "== inference-serving bench =="

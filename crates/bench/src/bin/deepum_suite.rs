@@ -1,5 +1,5 @@
-//! Suite bench: the `run_suite.sh` grid, serial vs rayon-parallel, with
-//! an asserted byte-identity contract and a ratcheted perf baseline.
+//! Suite bench: the evaluation grid, serial vs rayon-parallel, with an
+//! asserted byte-identity contract and a ratcheted perf baseline.
 //!
 //! Runs every suite cell (see `deepum_bench::suite`) once on the calling
 //! thread and once on the rayon pool, asserts the two passes produce
@@ -15,15 +15,22 @@
 //! intentional behaviour change and a re-bless) or if serial suite
 //! wall-clock regressed more than 25% over the recorded value.
 //!
+//! With `--experiments FILE` (which needs `--baseline`) the serial
+//! pass's reports render EXPERIMENTS.md into FILE (see
+//! `deepum_bench::experiments`). FILE is written only once every digest
+//! matched the baseline; the wall gate still sets the exit code.
+//!
 //! Usage: `deepum_suite [--serial-only] [--out FILE] [--baseline FILE]
-//! [--pre-pr-wall SECS]`. `--pre-pr-wall` seeds the pre-rewrite anchor
-//! when first recording a baseline; afterwards the anchor is carried in
-//! the baseline file itself.
+//! [--experiments FILE] [--pre-pr-wall SECS]`. `--pre-pr-wall` seeds the
+//! pre-rewrite anchor when first recording a baseline; afterwards the
+//! anchor is carried in the baseline file itself.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use deepum_bench::suite::{run_cell, suite_cells, CellOutcome, SUITE_ITERS};
+use deepum_bench::suite::{
+    run_cell, suite_cells, BaselineCell, CellOutcome, SuiteBaseline, SUITE_ITERS,
+};
 use serde::{Deserialize, Serialize};
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -45,20 +52,6 @@ struct SuiteBench {
     entries: Vec<CellOutcome>,
 }
 
-#[derive(Debug, Serialize, Deserialize)]
-struct BaselineCell {
-    key: String,
-    hash: String,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct SuiteBaseline {
-    version: u32,
-    pre_pr_serial_wall_secs: f64,
-    serial_wall_secs: f64,
-    cells: Vec<BaselineCell>,
-}
-
 /// Wall-clock regression tolerance over the recorded baseline.
 const WALL_REGRESSION_LIMIT: f64 = 1.25;
 
@@ -66,6 +59,7 @@ struct SuiteOpts {
     serial_only: bool,
     out: PathBuf,
     baseline: Option<PathBuf>,
+    experiments: Option<PathBuf>,
     pre_pr_wall: Option<f64>,
 }
 
@@ -74,6 +68,7 @@ fn parse_opts() -> SuiteOpts {
         serial_only: false,
         out: PathBuf::from("BENCH_suite.json"),
         baseline: None,
+        experiments: None,
         pre_pr_wall: None,
     };
     let mut args = std::env::args().skip(1);
@@ -86,6 +81,7 @@ fn parse_opts() -> SuiteOpts {
             "--serial-only" => opts.serial_only = true,
             "--out" => opts.out = PathBuf::from(value("--out")),
             "--baseline" => opts.baseline = Some(PathBuf::from(value("--baseline"))),
+            "--experiments" => opts.experiments = Some(PathBuf::from(value("--experiments"))),
             "--pre-pr-wall" => {
                 opts.pre_pr_wall = Some(
                     value("--pre-pr-wall")
@@ -95,23 +91,28 @@ fn parse_opts() -> SuiteOpts {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "options: --serial-only  --out FILE  --baseline FILE  --pre-pr-wall SECS"
+                    "options: --serial-only  --out FILE  --baseline FILE  --experiments FILE  \
+                     --pre-pr-wall SECS"
                 );
                 std::process::exit(0);
             }
             other => panic!("unknown option: {other}"),
         }
     }
+    assert!(
+        opts.experiments.is_none() || opts.baseline.is_some(),
+        "--experiments requires --baseline: EXPERIMENTS.md renders only from checked digests"
+    );
     opts
 }
 
-fn write_json(path: &Path, body: &str) {
+fn write(path: &Path, body: &str) {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent).expect("create output dir");
         }
     }
-    std::fs::write(path, format!("{body}\n")).unwrap_or_else(|e| {
+    std::fs::write(path, body).unwrap_or_else(|e| {
         panic!("write {}: {e}", path.display());
     });
 }
@@ -127,10 +128,15 @@ fn main() {
     );
 
     // Serial pass, with per-cell progress (the heavy cells take a while).
+    // Reports are kept only when they will be rendered.
     let serial_started = Instant::now();
     let mut serial: Vec<CellOutcome> = Vec::with_capacity(cells.len());
+    let mut reports = Vec::new();
     for (i, cell) in cells.iter().enumerate() {
-        let outcome = run_cell(cell);
+        let (outcome, report) = run_cell(cell);
+        if opts.experiments.is_some() {
+            reports.push((cell.clone(), report));
+        }
         println!(
             "[serial {}/{}] {} {:.2}s{}",
             i + 1,
@@ -179,6 +185,7 @@ fn main() {
 
     // Ratchet gate against the committed baseline.
     let mut pre_pr_wall = opts.pre_pr_wall;
+    let mut wall_regressed = false;
     if let Some(baseline_path) = &opts.baseline {
         match std::fs::read_to_string(baseline_path) {
             Ok(body) => {
@@ -210,21 +217,22 @@ fn main() {
                         failures += 1;
                     }
                 }
+                if failures > 0 {
+                    std::process::exit(1);
+                }
                 let limit = baseline.serial_wall_secs * WALL_REGRESSION_LIMIT;
-                if serial_wall > limit {
+                wall_regressed = serial_wall > limit;
+                if wall_regressed {
                     eprintln!(
                         "suite wall-clock regressed: {serial_wall:.1}s > {limit:.1}s \
                          (baseline {:.1}s + 25%)",
                         baseline.serial_wall_secs
                     );
-                    failures += 1;
+                } else {
+                    println!(
+                        "baseline: hashes unchanged, wall {serial_wall:.1}s within {limit:.1}s budget"
+                    );
                 }
-                if failures > 0 {
-                    std::process::exit(1);
-                }
-                println!(
-                    "baseline: hashes unchanged, wall {serial_wall:.1}s within {limit:.1}s budget"
-                );
             }
             Err(_) => {
                 let baseline = SuiteBaseline {
@@ -239,13 +247,19 @@ fn main() {
                         })
                         .collect(),
                 };
-                write_json(
-                    baseline_path,
-                    &serde_json::to_string_pretty(&baseline).expect("serialize baseline"),
-                );
+                let body = serde_json::to_string_pretty(&baseline).expect("serialize baseline");
+                write(baseline_path, &format!("{body}\n"));
                 println!("baseline recorded in {}", baseline_path.display());
             }
         }
+    }
+    // Every digest matched (or was just recorded): the reports may render.
+    if let Some(path) = &opts.experiments {
+        write(path, &deepum_bench::experiments::render(&reports));
+        println!("wrote {}", path.display());
+    }
+    if wall_regressed {
+        std::process::exit(1);
     }
 
     let bench = SuiteBench {
@@ -266,9 +280,7 @@ fn main() {
         sim_kernels_per_sec_parallel: parallel_wall.map(|w| kernels as f64 / w.max(1e-9)),
         entries: serial,
     };
-    write_json(
-        &opts.out,
-        &serde_json::to_string_pretty(&bench).expect("serialize suite bench"),
-    );
+    let body = serde_json::to_string_pretty(&bench).expect("serialize suite bench");
+    write(&opts.out, &format!("{body}\n"));
     println!("wrote {}", opts.out.display());
 }

@@ -1,130 +1,115 @@
 //! Figure 10: effects of prefetching and the fault-handling
 //! optimizations.
 //!
-//! Runs each model at its middle batch under naive UM and the three
-//! DeepUM ablation levels — Prefetching, Prefetching+Preeviction, and
-//! Prefetching+Preeviction+Invalidate — and reports execution time
-//! normalized to UM (the paper reports average reductions of 45.6%,
-//! 63.7%, and 66.7%).
+//! Each model runs at its middle batch under naive UM and the three
+//! DeepUM ablation levels (Prefetching, +Pre-eviction, +Invalidate), and
+//! execution time is reported normalized to UM.
 
 use deepum_core::config::DeepumConfig;
-use serde::{Deserialize, Serialize};
+use deepum_torch::models::ModelKind;
 
-use crate::cache::RunCache;
-use crate::grids::{middle_batch, FIG9_GRID};
-use crate::opts::Opts;
-use crate::table::Table;
-use deepum_baselines::suite::{run_system, RunParams, System};
+use super::{mean, report, section, Grid, Reports, Verdict};
+use crate::grids::middle_batch;
 
-/// Normalized runtimes for one model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AblationRow {
-    /// Model label.
-    pub model: String,
-    /// Batch size.
-    pub batch: usize,
-    /// Runtime with correlation prefetching only / UM.
-    pub prefetch: Option<f64>,
-    /// + page pre-eviction.
-    pub preevict: Option<f64>,
-    /// + inactive-PT-block invalidation (full DeepUM).
-    pub invalidate: Option<f64>,
+/// The models the suite ablates, in suite order.
+pub const MODELS: &[ModelKind] = &[ModelKind::BertLarge, ModelKind::Gpt2Xl, ModelKind::Gpt2L];
+
+/// The partial ablation levels the suite adds per model, by cell tag.
+/// Full DeepUM is the model's Fig. 9 `deepum` cell.
+pub fn ablations() -> [(&'static str, DeepumConfig); 2] {
+    [
+        ("abl-prefetch", DeepumConfig::prefetch_only()),
+        ("abl-preevict", DeepumConfig::prefetch_preevict()),
+    ]
 }
 
-/// Runs the ablation across the Fig. 9 models.
-pub fn run(opts: &Opts) -> Vec<AblationRow> {
-    let cache = RunCache::new(&opts.out);
-    let mut rows = Vec::new();
-    for row in FIG9_GRID {
-        if !opts.selected(row.model.label()) {
-            continue;
-        }
-        let batch = opts.batch(middle_batch(row.model));
-        let workload = row.model.build(batch);
-        let mut params = RunParams::v100_32gb(opts.iters, opts.seed);
-        params.costs.device_memory_bytes = opts.memory(params.costs.device_memory_bytes);
-        params.costs.host_memory_bytes = opts.memory(params.costs.host_memory_bytes);
+/// Paper, Fig. 10.
+pub const PAPER: &str = "Prefetching alone cuts 45.6% of execution time on average, \
++Pre-eviction 63.7%, +Invalidate 66.7%; DLRM gains nothing; BERT-Base/b29 gains little.";
 
-        let run = |tag: &str, system: System| {
-            let key = format!(
-                "{}-b{}-{}-i{}-s{}-sc{}",
-                row.model.label(),
-                batch,
-                tag,
-                opts.iters,
-                opts.seed,
-                opts.scale
-            );
-            cache
-                .run(&key, || run_system(&system, &workload, &params))
-                .ok()
+const LEVELS: [(&str, &str); 3] = [
+    ("prefetch", "abl-prefetch"),
+    ("+preevict", "abl-preevict"),
+    ("+invalidate", "deepum"),
+];
+
+/// Fig. 10: steady iteration time of each level over UM's.
+pub fn render(reports: &Reports) -> String {
+    let mut g = Grid::new(LEVELS.map(|(column, _)| column));
+    for &model in MODELS {
+        let batch = middle_batch(model);
+        let time = |tag| {
+            report(reports, "", model, batch, tag).map(|r| r.steady_iter_time().as_nanos() as f64)
         };
-
-        let um = run("um", System::Um);
-        let pf = run(
-            "abl-prefetch",
-            System::DeepUm(DeepumConfig::prefetch_only()),
-        );
-        let pe = run(
-            "abl-preevict",
-            System::DeepUm(DeepumConfig::prefetch_preevict()),
-        );
-        let inv = run("deepum", System::deepum());
-
-        let norm = |r: &Option<deepum_baselines::report::RunReport>| match (r, &um) {
-            (Some(sys), Some(um)) => {
-                let base = um.steady_iter_time().as_nanos() as f64;
-                if base > 0.0 {
-                    Some(sys.steady_iter_time().as_nanos() as f64 / base)
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        };
-        rows.push(AblationRow {
-            model: row.model.label().into(),
-            batch,
-            prefetch: norm(&pf),
-            preevict: norm(&pe),
-            invalidate: norm(&inv),
-        });
+        let um = time("um").filter(|&t| t > 0.0);
+        let values = LEVELS
+            .iter()
+            .map(|&(_, tag)| Some(time(tag)? / um?))
+            .collect();
+        g.push(model.label(), Some(batch), values);
     }
-    rows
+    section(
+        "Fig. 10 — optimization ablation",
+        PAPER,
+        &[g.with_summary("MEAN", mean).table(
+            "Fig 10: runtime normalized to naive UM (lower is better)",
+            |_, v| format!("{v:.3}"),
+        )],
+        &[ablation_monotone(&g)],
+    )
 }
 
-/// Renders the ablation table (normalized runtime, lower is better).
-pub fn table(rows: &[AblationRow]) -> Table {
-    let mut t = Table::new(
-        "Fig 10: runtime normalized to naive UM (lower is better)",
-        &["model", "batch", "prefetch", "+preevict", "+invalidate"],
-    );
-    let fmt = |v: Option<f64>| v.map(|x| format!("{x:.3}")).unwrap_or_else(|| "-".into());
-    let mut sums = (0.0, 0.0, 0.0, 0usize);
-    for r in rows {
-        if let (Some(a), Some(b), Some(c)) = (r.prefetch, r.preevict, r.invalidate) {
-            sums.0 += a;
-            sums.1 += b;
-            sums.2 += c;
-            sums.3 += 1;
+/// On every model each level runs no slower than the one before it,
+/// starting from naive UM at 1.0.
+pub fn ablation_monotone(normalized: &Grid) -> Verdict {
+    Verdict::all(
+        "ablation_monotone",
+        normalized.rows.iter().map(|row| {
+            let levels: Option<Vec<f64>> = std::iter::once(Some(1.0))
+                .chain(row.values.iter().copied())
+                .collect();
+            let shown = match &levels {
+                Some(l) => l
+                    .iter()
+                    .map(|v| format!("{v:.3}"))
+                    .collect::<Vec<_>>()
+                    .join(" → "),
+                None => "a level did not run".into(),
+            };
+            let monotone = levels.is_some_and(|l| l.windows(2).all(|w| w[1] <= w[0]));
+            (monotone, format!("{} {shown}", row.model))
+        }),
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn grid(rows: &[[Option<f64>; 3]]) -> Grid {
+        let mut g = Grid::new(LEVELS.map(|(column, _)| column));
+        for r in rows {
+            g.push("gpt2-l", Some(5), r.to_vec());
         }
-        t.row([
-            r.model.clone(),
-            r.batch.to_string(),
-            fmt(r.prefetch),
-            fmt(r.preevict),
-            fmt(r.invalidate),
-        ]);
+        g
     }
-    if sums.3 > 0 {
-        let n = sums.3 as f64;
-        t.row([
-            "MEAN".into(),
-            "-".into(),
-            format!("{:.3}", sums.0 / n),
-            format!("{:.3}", sums.1 / n),
-            format!("{:.3}", sums.2 / n),
-        ]);
+
+    #[test]
+    fn monotone_levels_hold() {
+        let v = ablation_monotone(&grid(&[[Some(0.30), Some(0.25), Some(0.20)]]));
+        assert!(v.holds, "{}", v.detail);
+        assert_eq!(v.detail, "gpt2-l 1.000 → 0.300 → 0.250 → 0.200");
+        // Equal levels still count as monotone.
+        assert!(ablation_monotone(&grid(&[[Some(1.0), Some(0.5), Some(0.5)]])).holds);
     }
-    t
+
+    #[test]
+    fn a_slower_level_or_a_missing_one_is_a_deviation() {
+        let slower = grid(&[
+            [Some(0.30), Some(0.25), Some(0.20)],
+            [Some(1.05), Some(0.60), Some(0.50)],
+        ]);
+        assert!(!ablation_monotone(&slower).holds);
+        assert!(!ablation_monotone(&grid(&[[Some(0.3), None, Some(0.2)]])).holds);
+    }
 }

@@ -1,116 +1,130 @@
 //! Figure 11: sensitivity to the degree of prefetching (N).
 //!
-//! Sweeps the chaining look-ahead N and reports, per model at its middle
-//! batch, the speedup and total-energy ratio relative to N = 8 — the
-//! paper's normalization point. The paper observes a sweet spot at
-//! N = 32 where speedup is highest and energy lowest.
+//! The chaining look-ahead N is swept on the model at its middle batch,
+//! and speedup and total-energy ratio are reported relative to N = 8,
+//! the paper's normalization point.
 
-use deepum_core::config::DeepumConfig;
-use serde::{Deserialize, Serialize};
+use deepum_baselines::report::RunReport;
+use deepum_torch::models::ModelKind;
 
-use crate::cache::RunCache;
-use crate::grids::{middle_batch, FIG9_GRID};
-use crate::opts::Opts;
-use crate::table::Table;
-use deepum_baselines::suite::{run_system, RunParams, System};
+use super::{report, section, Grid, Reports, Verdict};
+use crate::grids::middle_batch;
 
 /// The swept look-ahead degrees.
 pub const DEGREES: &[usize] = &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512];
 
-/// Results of the sweep for one model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DegreeRow {
-    /// Model label.
-    pub model: String,
-    /// Batch size.
-    pub batch: usize,
-    /// Per-degree steady iteration time (ns) and energy (J), indexed
-    /// like [`DEGREES`]; `None` marks failed runs.
-    pub per_degree: Vec<Option<(u64, f64)>>,
+/// The model the suite sweeps.
+pub const MODEL: ModelKind = ModelKind::Gpt2L;
+
+/// The normalization point.
+const BASE_DEGREE: usize = 8;
+
+/// Paper, Fig. 11.
+pub const PAPER: &str = "Speedup and energy are inversely related across N with a sweet spot \
+at N=32, where speedup is highest and energy lowest; too-aggressive prefetching hurts.";
+
+/// The paper's best degree.
+pub const PAPER_BEST_DEGREE: usize = 32;
+
+/// Suite cell tag of degree `n`.
+pub fn tag(n: usize) -> String {
+    format!("deepum-N{n}")
 }
 
-/// Runs the sweep.
-pub fn run(opts: &Opts) -> Vec<DegreeRow> {
-    let cache = RunCache::new(&opts.out);
-    let mut rows = Vec::new();
-    for row in FIG9_GRID {
-        if !opts.selected(row.model.label()) {
-            continue;
-        }
-        let batch = opts.batch(middle_batch(row.model));
-        let workload = row.model.build(batch);
-        let mut params = RunParams::v100_32gb(opts.iters, opts.seed);
-        params.costs.device_memory_bytes = opts.memory(params.costs.device_memory_bytes);
-        params.costs.host_memory_bytes = opts.memory(params.costs.host_memory_bytes);
-
-        let per_degree = DEGREES
-            .iter()
-            .map(|&n| {
-                let key = format!(
-                    "{}-b{}-deepum-N{}-i{}-s{}-sc{}",
-                    row.model.label(),
-                    batch,
-                    n,
-                    opts.iters,
-                    opts.seed,
-                    opts.scale
-                );
-                cache
-                    .run(&key, || {
-                        run_system(
-                            &System::DeepUm(DeepumConfig::default().with_prefetch_degree(n)),
-                            &workload,
-                            &params,
-                        )
-                    })
-                    .ok()
-                    .map(|r| (r.steady_iter_time().as_nanos(), r.steady_iter_energy()))
-            })
-            .collect();
-        rows.push(DegreeRow {
-            model: row.model.label().into(),
-            batch,
-            per_degree,
-        });
-    }
-    rows
-}
-
-fn normalized(rows: &[DegreeRow], pick: fn(&(u64, f64)) -> f64, invert: bool) -> Table {
-    let metric = if invert { "speedup" } else { "energy ratio" };
-    let headers: Vec<String> = std::iter::once("model".to_string())
-        .chain(DEGREES.iter().map(|n| format!("N={n}")))
+/// Fig. 11(a) speedup and (b) energy ratio, relative to N = 8.
+pub fn render(reports: &Reports) -> String {
+    let batch = middle_batch(MODEL);
+    let runs: Vec<_> = DEGREES
+        .iter()
+        .map(|&n| report(reports, "", MODEL, batch, &tag(n)))
         .collect();
-    let hdr_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut t = Table::new(
-        format!("Fig 11: {metric} relative to N=8 (per model, middle batch)"),
-        &hdr_refs,
-    );
-    let base_idx = DEGREES.iter().position(|&n| n == 8).expect("8 in sweep");
-    for r in rows {
-        let base = r.per_degree[base_idx].as_ref().map(pick);
-        let mut cells = vec![r.model.clone()];
-        for d in &r.per_degree {
-            let cell = match (d.as_ref().map(pick), base) {
-                (Some(v), Some(b)) if v > 0.0 && b > 0.0 => {
-                    let ratio = if invert { b / v } else { v / b };
-                    format!("{ratio:.3}")
-                }
-                _ => "-".into(),
-            };
-            cells.push(cell);
-        }
-        t.row(cells);
+    let base = runs[DEGREES
+        .iter()
+        .position(|&n| n == BASE_DEGREE)
+        .expect("8 in sweep")];
+    let relative = |metric: fn(&RunReport) -> f64, invert: bool| {
+        let mut g = Grid::new(DEGREES.iter().map(|n| format!("N={n}")));
+        let values = runs.iter().map(|run| {
+            let (v, b) = (metric((*run)?), metric(base?));
+            (v > 0.0 && b > 0.0).then(|| if invert { b / v } else { v / b })
+        });
+        g.push(MODEL.label(), None, values.collect());
+        g
+    };
+    let speedup = relative(|r| r.steady_iter_time().as_nanos() as f64, true);
+    let energy = relative(RunReport::steady_iter_energy, false);
+    let three = |_: &str, v: f64| format!("{v:.3}");
+    section(
+        "Fig. 11 — sensitivity to prefetch degree N",
+        PAPER,
+        &[
+            speedup.table("Fig 11(a): speedup relative to N=8 (middle batch)", three),
+            energy.table(
+                "Fig 11(b): energy ratio relative to N=8 (middle batch)",
+                three,
+            ),
+        ],
+        &[inverted_u(&speedup)],
+    )
+}
+
+/// Speedup over N peaks strictly inside [`DEGREES`]: both the smallest
+/// and the largest degree run slower than the best one.
+pub fn inverted_u(speedup: &Grid) -> Verdict {
+    let last = DEGREES.len() - 1;
+    Verdict::all(
+        "inverted_u",
+        speedup.rows.iter().map(|row| {
+            let best = row
+                .values
+                .iter()
+                .enumerate()
+                .filter_map(|(i, v)| Some((i, (*v)?)))
+                .max_by(|a, b| a.1.total_cmp(&b.1));
+            match (best, row.values[0], row.values[last]) {
+                (Some((i, peak)), Some(first), Some(end)) => (
+                    i > 0 && i < last,
+                    format!(
+                        "{} peaks at N={} ({peak:.3}); N={} {first:.3}, N={} {end:.3} \
+                         (paper: peak at N={PAPER_BEST_DEGREE})",
+                        row.model, DEGREES[i], DEGREES[0], DEGREES[last]
+                    ),
+                ),
+                _ => (false, format!("{}: a degree did not run", row.model)),
+            }
+        }),
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sweep(values: [f64; 10]) -> Grid {
+        let mut g = Grid::new(DEGREES.iter().map(|n| format!("N={n}")));
+        g.push("gpt2-l", None, values.map(Some).to_vec());
+        g
     }
-    t
-}
 
-/// Fig. 11(a): speedup over the N=8 configuration.
-pub fn table_speedup(rows: &[DegreeRow]) -> Table {
-    normalized(rows, |x| x.0 as f64, true)
-}
+    #[test]
+    fn an_interior_peak_is_an_inverted_u() {
+        let v = inverted_u(&sweep([0.5, 0.7, 0.9, 1.0, 1.1, 1.2, 1.15, 1.1, 1.0, 0.9]));
+        assert!(v.holds, "{}", v.detail);
+        assert!(
+            v.detail.starts_with("gpt2-l peaks at N=32 (1.200)"),
+            "{}",
+            v.detail
+        );
+    }
 
-/// Fig. 11(b): energy ratio over the N=8 configuration (lower better).
-pub fn table_energy(rows: &[DegreeRow]) -> Table {
-    normalized(rows, |x| x.1, false)
+    #[test]
+    fn a_peak_at_either_end_is_a_deviation() {
+        let rising = sweep([0.5, 0.7, 0.9, 1.0, 1.1, 1.2, 1.25, 1.3, 1.35, 1.4]);
+        assert!(!inverted_u(&rising).holds);
+        let falling = sweep([1.4, 1.3, 1.2, 1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4]);
+        assert!(!inverted_u(&falling).holds);
+        let mut missing = sweep([0.5, 0.7, 0.9, 1.0, 1.1, 1.2, 1.15, 1.1, 1.0, 0.9]);
+        missing.rows[0].values[9] = None;
+        assert!(!inverted_u(&missing).holds);
+    }
 }

@@ -1,18 +1,14 @@
 //! Table 6 + Figure 12: UM-block correlation-table geometry sweep.
 //!
-//! Runs the thirteen (Assoc, NumSuccs, NumRows) configurations of
-//! Table 6 per model at its middle batch, reporting speedup over
-//! Config0. The paper finds Config9 (2048 rows, 2-way, 4 successors)
-//! best on average.
+//! The thirteen (Assoc, NumSuccs, NumRows) configurations of Table 6 run
+//! on the model at its middle batch, and each configuration's speedup
+//! over Config0 is reported.
 
-use deepum_core::config::DeepumConfig;
-use serde::{Deserialize, Serialize};
+use deepum_torch::models::ModelKind;
 
-use crate::cache::RunCache;
-use crate::grids::{middle_batch, FIG9_GRID};
-use crate::opts::Opts;
+use super::{gmean, report, section, Grid, Reports, Verdict};
+use crate::grids::middle_batch;
 use crate::table::Table;
-use deepum_baselines::suite::{run_system, RunParams, System};
 
 /// The Table 6 configurations: `(Assoc, NumSuccs, NumRows)`.
 pub const CONFIGS: &[(usize, usize, usize)] = &[
@@ -31,106 +27,70 @@ pub const CONFIGS: &[(usize, usize, usize)] = &[
     (2, 4, 4096),
 ];
 
-/// Sweep results for one model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ConfigRow {
-    /// Model label.
-    pub model: String,
-    /// Batch size.
-    pub batch: usize,
-    /// Steady iteration time (ns) per configuration, [`CONFIGS`] order.
-    pub per_config: Vec<Option<u64>>,
+/// The model the suite sweeps.
+pub const MODEL: ModelKind = ModelKind::BertLarge;
+
+/// Paper, Table 6 + Fig. 12.
+pub const PAPER: &str = "Thirteen (Assoc, NumSuccs, NumRows) configurations; Config9 (2048 \
+rows, 2-way, 4 successors) is best on average; spreads are small.";
+
+/// The paper's best configuration.
+pub const PAPER_BEST_CONFIG: usize = 9;
+
+/// Suite cell tag of configuration `i`.
+pub fn tag(i: usize) -> String {
+    format!("deepum-cfg{i}")
 }
 
-/// Runs the sweep.
-pub fn run(opts: &Opts) -> Vec<ConfigRow> {
-    let cache = RunCache::new(&opts.out);
-    let mut rows = Vec::new();
-    for row in FIG9_GRID {
-        if !opts.selected(row.model.label()) {
-            continue;
-        }
-        let batch = opts.batch(middle_batch(row.model));
-        let workload = row.model.build(batch);
-        let mut params = RunParams::v100_32gb(opts.iters, opts.seed);
-        params.costs.device_memory_bytes = opts.memory(params.costs.device_memory_bytes);
-        params.costs.host_memory_bytes = opts.memory(params.costs.host_memory_bytes);
-
-        let per_config = CONFIGS
-            .iter()
-            .enumerate()
-            .map(|(i, &(assoc, succs, rows))| {
-                let key = format!(
-                    "{}-b{}-deepum-cfg{}-i{}-s{}-sc{}",
-                    row.model.label(),
-                    batch,
-                    i,
-                    opts.iters,
-                    opts.seed,
-                    opts.scale
-                );
-                cache
-                    .run(&key, || {
-                        run_system(
-                            &System::DeepUm(
-                                DeepumConfig::default().with_block_table(assoc, succs, rows),
-                            ),
-                            &workload,
-                            &params,
-                        )
-                    })
-                    .ok()
-                    .map(|r| r.steady_iter_time().as_nanos())
-            })
-            .collect();
-        rows.push(ConfigRow {
-            model: row.model.label().into(),
-            batch,
-            per_config,
-        });
-    }
-    rows
-}
-
-/// Renders Fig. 12: speedup of each configuration over Config0.
-pub fn table(rows: &[ConfigRow]) -> Table {
-    let headers: Vec<String> = std::iter::once("model".to_string())
-        .chain((0..CONFIGS.len()).map(|i| format!("cfg{i}")))
+/// Table 6 (the configuration list) and Fig. 12 (speedup over Config0).
+pub fn render(reports: &Reports) -> String {
+    let batch = middle_batch(MODEL);
+    let times: Vec<Option<f64>> = (0..CONFIGS.len())
+        .map(|i| {
+            report(reports, "", MODEL, batch, &tag(i))
+                .map(|r| r.steady_iter_time().as_nanos() as f64)
+                .filter(|&t| t > 0.0)
+        })
         .collect();
-    let hdr_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut t = Table::new(
-        "Fig 12 / Table 6: speedup of each block-table configuration over Config0",
-        &hdr_refs,
+    let mut g = Grid::new((0..CONFIGS.len()).map(|i| format!("cfg{i}")));
+    g.push(
+        MODEL.label(),
+        None,
+        times.iter().map(|t| Some(times[0]? / (*t)?)).collect(),
     );
-    let mut logsums = vec![0.0f64; CONFIGS.len()];
-    let mut counts = vec![0usize; CONFIGS.len()];
-    for r in rows {
-        let base = r.per_config[0];
-        let mut cells = vec![r.model.clone()];
-        for (i, c) in r.per_config.iter().enumerate() {
-            let cell = match (c, base) {
-                (Some(v), Some(b)) if *v > 0 => {
-                    let s = b as f64 / *v as f64;
-                    logsums[i] += s.ln();
-                    counts[i] += 1;
-                    format!("{s:.3}")
-                }
-                _ => "-".into(),
-            };
-            cells.push(cell);
-        }
-        t.row(cells);
-    }
-    let mut gmean = vec!["GMEAN".to_string()];
-    for (ls, n) in logsums.iter().zip(&counts) {
-        gmean.push(if *n > 0 {
-            format!("{:.3}", (ls / *n as f64).exp())
-        } else {
-            "-".into()
-        });
-    }
-    t.row(gmean);
-    t
+    section(
+        "Table 6 + Fig. 12 — block-table geometry",
+        PAPER,
+        &[
+            table_configs(),
+            g.with_summary("GMEAN", gmean).table(
+                "Fig 12: speedup of each block-table configuration over Config0",
+                |_, v| format!("{v:.3}"),
+            ),
+        ],
+        &[paper_config_best(&g)],
+    )
+}
+
+/// The paper's best configuration has the highest GMEAN speedup.
+pub fn paper_config_best(speedup: &Grid) -> Verdict {
+    let summary = speedup.summary(gmean);
+    let best = summary
+        .iter()
+        .enumerate()
+        .filter_map(|(i, v)| Some((i, (*v)?)))
+        .max_by(|a, b| a.1.total_cmp(&b.1));
+    let check = match (best, summary[PAPER_BEST_CONFIG]) {
+        (Some((i, top)), Some(paper)) => (
+            paper >= top,
+            format!(
+                "GMEAN {} {paper:.3} vs best {} {top:.3} (paper: Config{PAPER_BEST_CONFIG} best)",
+                speedup.columns[PAPER_BEST_CONFIG], speedup.columns[i]
+            ),
+        ),
+        _ => (false, "a configuration did not run".into()),
+    };
+    Verdict::all("paper_config_best", [check])
 }
 
 /// Renders Table 6 itself (the configuration list).
@@ -148,4 +108,36 @@ pub fn table_configs() -> Table {
         ]);
     }
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sweep(best: usize) -> Grid {
+        let mut g = Grid::new((0..CONFIGS.len()).map(|i| format!("cfg{i}")));
+        let values = (0..CONFIGS.len())
+            .map(|i| Some(if i == best { 1.05 } else { 1.0 }))
+            .collect();
+        g.push("bert-large", None, values);
+        g
+    }
+
+    #[test]
+    fn config9_on_top_holds() {
+        let v = paper_config_best(&sweep(9));
+        assert!(v.holds, "{}", v.detail);
+        assert_eq!(
+            v.detail,
+            "GMEAN cfg9 1.050 vs best cfg9 1.050 (paper: Config9 best)"
+        );
+    }
+
+    #[test]
+    fn another_config_on_top_is_a_deviation() {
+        assert!(!paper_config_best(&sweep(12)).holds);
+        let mut missing = sweep(9);
+        missing.rows[0].values[9] = None;
+        assert!(!paper_config_best(&missing).holds);
+    }
 }

@@ -12,11 +12,10 @@ use deepum_torch::alloc::CachingAllocator;
 use deepum_torch::models::ModelKind;
 use deepum_torch::step::Step;
 use deepum_um::space::UmSpace;
-use serde::{Deserialize, Serialize};
 
-use crate::cache::RunCache;
-use crate::opts::Opts;
-use crate::table::Table;
+use super::{section, Grid, Verdict};
+use crate::suite::{SUITE_ITERS, SUITE_SEED};
+use crate::table::num;
 use deepum_baselines::suite::{run_system, RunParams, System};
 
 /// The Table 3 models with the paper's LMS-side starting points.
@@ -30,16 +29,9 @@ pub const MODELS: &[(ModelKind, usize)] = &[
     (ModelKind::ResNet152, 1536),
 ];
 
-/// Result row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MaxBatchRow {
-    /// Model label.
-    pub model: String,
-    /// Largest batch LMS completes.
-    pub lms: usize,
-    /// Largest batch DeepUM's allocation probe admits.
-    pub deepum: usize,
-}
+/// Paper, Table 3.
+pub const PAPER: &str = "LMS: GPT-2 XL 3, GPT-2 L 3, BERT-L 14, BERT-B 29, DLRM 128k, ResNet-200 \
+1536, ResNet-152 1536. DeepUM: 16, 24, 192, 256, 512k, 2304, 1792 (bounded by the 512 GB host).";
 
 /// True if every allocation of `workload(batch)` fits the UM space.
 pub fn deepum_alloc_probe(model: ModelKind, batch: usize, host_bytes: u64) -> bool {
@@ -48,16 +40,13 @@ pub fn deepum_alloc_probe(model: ModelKind, batch: usize, host_bytes: u64) -> bo
     let mut alloc = CachingAllocator::new();
     let mut events = Vec::new();
     let mut map = std::collections::HashMap::new();
-    for t in &workload.persistent {
-        match alloc.alloc(t.bytes, &mut space, &mut events) {
-            Ok((id, _)) => {
-                map.insert(t.id, id);
-            }
-            Err(_) => return false,
-        }
-        events.clear();
-    }
-    for step in &workload.steps {
+    let persistent: Vec<Step> = workload
+        .persistent
+        .iter()
+        .cloned()
+        .map(Step::Alloc)
+        .collect();
+    for step in persistent.iter().chain(&workload.steps) {
         match step {
             Step::Alloc(t) => match alloc.alloc(t.bytes, &mut space, &mut events) {
                 Ok((id, _)) => {
@@ -106,47 +95,59 @@ pub fn max_batch<F: FnMut(usize) -> bool>(start: usize, cap: usize, mut ok: F) -
     lo
 }
 
-/// Runs the Table 3 search.
-pub fn run(opts: &Opts) -> Vec<MaxBatchRow> {
-    let cache = RunCache::new(&opts.out);
-    let mut rows = Vec::new();
-    for &(model, start) in MODELS {
-        if !opts.selected(model.label()) {
-            continue;
-        }
-        let mut params = RunParams::v100_32gb(2, opts.seed);
-        params.costs.device_memory_bytes = opts.memory(params.costs.device_memory_bytes);
-        params.costs.host_memory_bytes = opts.memory(params.costs.host_memory_bytes);
-        let host = params.costs.host_memory_bytes;
-        let start = opts.batch(start);
-        let cap = start.saturating_mul(512).max(1024);
-
-        let lms = max_batch(start, cap, |b| {
-            let key = format!("max-lms-{}-b{}-sc{}", model.label(), b, opts.scale);
-            cache
-                .run(&key, || run_system(&System::Lms, &model.build(b), &params))
-                .is_ok()
-        });
-        let deepum = max_batch(start, cap, |b| deepum_alloc_probe(model, b, host));
-        rows.push(MaxBatchRow {
-            model: model.label().into(),
-            lms,
-            deepum,
-        });
-    }
-    rows
+/// The search bound for a model whose paper starting point is `start`.
+pub fn search_cap(start: usize) -> usize {
+    start.saturating_mul(512).max(1024)
 }
 
-/// Renders Table 3.
-pub fn table(rows: &[MaxBatchRow]) -> Table {
-    let mut t = Table::new(
-        "Table 3: maximum possible batch sizes (V100 32GB, 512GB host)",
-        &["model", "lms", "deepum"],
-    );
-    for r in rows {
-        t.row([r.model.clone(), r.lms.to_string(), r.deepum.to_string()]);
+/// Runs the Table 3 search: the largest batch LMS completes two
+/// iterations of, and the largest DeepUM's allocation probe admits.
+pub fn search() -> Grid {
+    let mut g = Grid::new(["lms", "deepum"]);
+    let params = RunParams::v100_32gb(SUITE_ITERS, SUITE_SEED);
+    let host = params.costs.host_memory_bytes;
+    for &(model, start) in MODELS {
+        let cap = search_cap(start);
+        let lms = max_batch(start, cap, |b| {
+            run_system(&System::Lms, &model.build(b), &params).is_ok()
+        });
+        let deepum = max_batch(start, cap, |b| deepum_alloc_probe(model, b, host));
+        g.push(
+            model.label(),
+            None,
+            vec![Some(lms as f64), Some(deepum as f64)],
+        );
     }
-    t
+    g
+}
+
+/// Table 3: maximum possible batch sizes.
+pub fn render() -> String {
+    let g = search();
+    section(
+        "Table 3 — maximum possible batch sizes",
+        PAPER,
+        &[g.table(
+            "Table 3: maximum possible batch sizes (V100 32GB, 512GB host)",
+            |_, v| format!("{v:.0}"),
+        )],
+        &[deepum_above_lms(&g)],
+    )
+}
+
+/// DeepUM's maximum batch exceeds LMS's on every model.
+pub fn deepum_above_lms(max_batches: &Grid) -> Verdict {
+    Verdict::all(
+        "deepum_above_lms",
+        max_batches.rows.iter().map(|row| {
+            let (l, d) = (max_batches.get(row, "lms"), max_batches.get(row, "deepum"));
+            let above = matches!((l, d), (Some(l), Some(d)) if d > l);
+            (
+                above,
+                format!("{} LMS {} vs DeepUM {}", row.model, num(l, 0), num(d, 0)),
+            )
+        }),
+    )
 }
 
 #[cfg(test)]
@@ -170,6 +171,22 @@ mod tests {
     #[test]
     fn search_handles_immediate_failure() {
         assert_eq!(max_batch(4, 100, |_| false), 0);
+    }
+
+    #[test]
+    fn deepum_must_exceed_lms_everywhere() {
+        let mut g = Grid::new(["lms", "deepum"]);
+        g.push("bert-base", None, vec![Some(221.0), Some(694.0)]);
+        let v = deepum_above_lms(&g);
+        assert!(v.holds, "{}", v.detail);
+        assert_eq!(v.detail, "bert-base LMS 221 vs DeepUM 694");
+        g.push("gpt2-xl", None, vec![Some(30.0), Some(30.0)]);
+        let v = deepum_above_lms(&g);
+        assert!(!v.holds);
+        assert_eq!(
+            v.detail,
+            "bert-base LMS 221 vs DeepUM 694; **gpt2-xl LMS 30 vs DeepUM 30**"
+        );
     }
 
     #[test]

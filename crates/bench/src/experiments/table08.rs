@@ -10,7 +10,12 @@ use deepum_baselines::strategies::{
     AutoTm, Capabilities, Capuchin, Lms, Sentinel, SwapAdvisor, Vdnn,
 };
 
+use super::{section, Verdict};
 use crate::table::Table;
+
+/// Paper, Table 8.
+pub const PAPER: &str = "DeepUM is the only system with no user-script modification and only a \
+few allocator lines of framework change.";
 
 /// Every capability row of Table 8, presentation order.
 pub fn rows() -> Vec<Capabilities> {
@@ -43,7 +48,6 @@ pub fn table() -> Table {
             "runtime profiling",
         ],
     );
-    let yn = |b: bool| if b { "Y" } else { "N" };
     for c in rows() {
         let base = if c.base_framework.is_empty() {
             "(scratch)"
@@ -59,6 +63,35 @@ pub fn table() -> Table {
         ]);
     }
     t
+}
+
+fn yn(b: bool) -> &'static str {
+    ["N", "Y"][usize::from(b)]
+}
+
+/// Table 8: the capability matrix.
+pub fn render() -> String {
+    let verdict = deepum_transparent(&rows());
+    section(
+        "Table 8 — qualitative comparison",
+        PAPER,
+        &[table()],
+        &[verdict],
+    )
+}
+
+/// DeepUM needs no user-script modification and profiles at run time.
+pub fn deepum_transparent(rows: &[Capabilities]) -> Verdict {
+    let check = rows.iter().find(|c| c.name == "deepum").map(|d| {
+        let (script, profiling) = (d.user_script_modification, d.runtime_profiling);
+        let detail = format!(
+            "deepum: user script mod {}, runtime profiling {}",
+            yn(script),
+            yn(profiling)
+        );
+        (!script && profiling, detail)
+    });
+    Verdict::all("deepum_transparent", check)
 }
 
 #[cfg(test)]
@@ -79,6 +112,16 @@ mod tests {
         // vDNN is built from scratch.
         let vdnn = rows.iter().find(|c| c.name == "vdnn").unwrap();
         assert!(vdnn.base_framework.is_empty());
+    }
+
+    #[test]
+    fn transparency_predicate_reads_the_deepum_row() {
+        let mut rows = rows();
+        let v = deepum_transparent(&rows);
+        assert!(v.holds, "{}", v.detail);
+        assert_eq!(v.detail, "deepum: user script mod N, runtime profiling Y");
+        rows.last_mut().unwrap().user_script_modification = true;
+        assert!(!deepum_transparent(&rows).holds);
     }
 
     #[test]

@@ -2,48 +2,19 @@
 
 use deepum_torch::models::ModelKind;
 
-use crate::opts::Opts;
-
-/// One (model, batch sizes) row of the Fig. 9 grid.
-#[derive(Debug, Clone, Copy)]
-pub struct GridRow {
-    /// Model configuration.
-    pub model: ModelKind,
-    /// Batch sizes the paper evaluates for this model.
-    pub batches: &'static [usize],
-}
-
 /// The Fig. 9 / Tables 3-5 grid: seven models on the V100 32 GB
-/// (paper Section 6.2). Batch sizes are the paper's.
-pub const FIG9_GRID: &[GridRow] = &[
-    GridRow {
-        model: ModelKind::Gpt2Xl,
-        batches: &[3, 5, 7],
-    },
-    GridRow {
-        model: ModelKind::Gpt2L,
-        batches: &[3, 5, 7],
-    },
-    GridRow {
-        model: ModelKind::BertLarge,
-        batches: &[14, 16, 18],
-    },
-    GridRow {
-        model: ModelKind::BertBase,
-        batches: &[29, 30, 31],
-    },
-    GridRow {
-        model: ModelKind::Dlrm,
-        batches: &[96_000, 128_000, 160_000, 192_000, 224_000],
-    },
-    GridRow {
-        model: ModelKind::ResNet152,
-        batches: &[1280, 1536, 1792],
-    },
-    GridRow {
-        model: ModelKind::ResNet200,
-        batches: &[1024, 1280, 1536],
-    },
+/// (paper Section 6.2), each with the batch sizes the paper evaluates.
+pub const FIG9_GRID: &[(ModelKind, &[usize])] = &[
+    (ModelKind::Gpt2Xl, &[3, 5, 7]),
+    (ModelKind::Gpt2L, &[3, 5, 7]),
+    (ModelKind::BertLarge, &[14, 16, 18]),
+    (ModelKind::BertBase, &[29, 30, 31]),
+    (
+        ModelKind::Dlrm,
+        &[96_000, 128_000, 160_000, 192_000, 224_000],
+    ),
+    (ModelKind::ResNet152, &[1280, 1536, 1792]),
+    (ModelKind::ResNet200, &[1024, 1280, 1536]),
 ];
 
 /// The Section 6.4 grid: four models on the V100 16 GB, compared against
@@ -62,17 +33,16 @@ pub const FIG13_GRID: &[(ModelKind, usize)] = &[
 pub fn middle_batch(model: ModelKind) -> usize {
     FIG9_GRID
         .iter()
-        .find(|r| r.model == model)
-        .map(|r| r.batches[r.batches.len() / 2])
+        .find(|(m, _)| *m == model)
+        .map(|(_, batches)| batches[batches.len() / 2])
         .unwrap_or(8)
 }
 
-/// All (model, batch) cells of the Fig. 9 grid after `--scale`/`--only`.
-pub fn fig9_cells(opts: &Opts) -> Vec<(ModelKind, usize)> {
+/// All (model, batch) cells of the Fig. 9 grid, in grid order.
+pub fn fig9_cells() -> Vec<(ModelKind, usize)> {
     FIG9_GRID
         .iter()
-        .filter(|r| opts.selected(r.model.label()))
-        .flat_map(|r| r.batches.iter().map(|&b| (r.model, opts.batch(b))))
+        .flat_map(|&(model, batches)| batches.iter().map(move |&b| (model, b)))
         .collect()
 }
 
@@ -83,7 +53,7 @@ mod tests {
     #[test]
     fn grid_matches_paper_shape() {
         assert_eq!(FIG9_GRID.len(), 7);
-        let cells: usize = FIG9_GRID.iter().map(|r| r.batches.len()).sum();
+        let cells: usize = FIG9_GRID.iter().map(|(_, b)| b.len()).sum();
         assert_eq!(cells, 4 * 3 + 5 + 2 * 3); // 23 model/batch points
         assert_eq!(FIG13_GRID.len(), 4);
     }
@@ -95,15 +65,10 @@ mod tests {
     }
 
     #[test]
-    fn cells_respect_filters_and_scale() {
-        let opts = Opts {
-            scale: 0.5,
-            only: Some("gpt2".into()),
-            ..Opts::default()
-        };
-        let cells = fig9_cells(&opts);
-        assert_eq!(cells.len(), 6);
-        assert!(cells.iter().all(|(m, _)| m.label().contains("gpt2")));
-        assert_eq!(cells[0].1, 2); // 3 * 0.5 rounded
+    fn cells_follow_grid_order() {
+        let cells = fig9_cells();
+        assert_eq!(cells.len(), 23);
+        assert_eq!(cells[0], (ModelKind::Gpt2Xl, 3));
+        assert_eq!(cells[22], (ModelKind::ResNet200, 1536));
     }
 }

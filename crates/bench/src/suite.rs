@@ -1,5 +1,4 @@
-//! The `run_suite.sh` evaluation grid as one driver, serial or
-//! rayon-parallel.
+//! The paper's evaluation grid as one driver, serial or rayon-parallel.
 //!
 //! Every suite cell — one (model, batch, system) simulation — is a
 //! sealed deterministic world: it builds its own workload, runs with its
@@ -10,12 +9,13 @@
 //! the parallel driver's digests are asserted identical to the serial
 //! driver's (`deepum_suite`, `tests/equivalence.rs`).
 //!
-//! The grid mirrors what `run_suite.sh` simulates: the Fig. 9 grid under
-//! its five systems (which feeds Tables 4 and 5), the Fig. 13 grid under
-//! the TF-based systems on the 16 GB platform, and the sensitivity rows
-//! the suite script sweeps (Fig. 10 ablations on bert-large/gpt2, the
-//! Fig. 11 degree sweep on gpt2-l, and the Fig. 12 table-geometry sweep
-//! on bert-large), all at the script's `--iters 2`.
+//! The grid is every simulation EXPERIMENTS.md renders (see
+//! [`crate::experiments`]): the Fig. 9 grid under its five systems (which
+//! feeds Tables 4 and 5), the Fig. 13 grid under the TF-based systems on
+//! the 16 GB platform, and the sensitivity rows (Fig. 10 ablations on
+//! bert-large/gpt2, the Fig. 11 degree sweep on gpt2-l, and the Fig. 12
+//! table-geometry sweep on bert-large), all at [`SUITE_ITERS`]
+//! iterations.
 
 use std::time::Instant;
 
@@ -27,12 +27,13 @@ use deepum_trace::SharedTracer;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::experiments::{fig11, fig12, fig13};
+use crate::experiments::{fig10, fig11, fig12, fig13};
 use crate::grids::{fig9_cells, middle_batch, FIG13_GRID};
-use crate::opts::Opts;
 use deepum_baselines::suite::{run_system, RunParams, System};
 
-/// Training iterations per suite cell (`run_suite.sh` passes `--iters 2`).
+/// Training iterations per suite cell: one cold iteration plus one
+/// steady-state iteration (the simulator is deterministic, so one steady
+/// iteration is exact).
 pub const SUITE_ITERS: usize = 2;
 
 /// Workload seed shared by every suite cell.
@@ -101,19 +102,16 @@ pub struct CellOutcome {
     pub hash: String,
 }
 
-fn grid_key(prefix: &str, model: ModelKind, batch: usize, tag: &str) -> String {
+/// The key of a suite cell; renderers look cells up through it.
+pub(crate) fn grid_key(prefix: &str, model: ModelKind, batch: usize, tag: &str) -> String {
     format!("{prefix}{}-b{batch}-{tag}-i{SUITE_ITERS}", model.label())
 }
 
 /// Enumerates the full suite grid, in the fixed serial order.
 pub fn suite_cells() -> Vec<SuiteCell> {
-    let opts = Opts {
-        iters: SUITE_ITERS,
-        ..Opts::default()
-    };
     let mut cells = Vec::new();
     // Fig. 9 grid (feeds Tables 4 and 5): five systems per (model, batch).
-    for (model, batch) in fig9_cells(&opts) {
+    for (model, batch) in fig9_cells() {
         for system in [
             System::Um,
             System::Lms,
@@ -136,34 +134,31 @@ pub fn suite_cells() -> Vec<SuiteCell> {
             cells.push(cell);
         }
     }
-    // Fig. 10 ablation rows the suite script sweeps (bert-large, gpt2*);
-    // their um/deepum anchors are already Fig. 9 cells above.
-    for model in [ModelKind::BertLarge, ModelKind::Gpt2Xl, ModelKind::Gpt2L] {
+    // Fig. 10 ablation rows; their um/deepum anchors are already Fig. 9
+    // cells above.
+    for &model in fig10::MODELS {
         let batch = middle_batch(model);
-        for (tag, cfg) in [
-            ("abl-prefetch", DeepumConfig::prefetch_only()),
-            ("abl-preevict", DeepumConfig::prefetch_preevict()),
-        ] {
+        for (tag, cfg) in fig10::ablations() {
             let key = grid_key("", model, batch, tag);
             cells.push(SuiteCell::new(key, model, batch, System::DeepUm(cfg)));
         }
     }
     // Fig. 11 prefetch-degree sweep on gpt2-l at its middle batch.
     {
-        let model = ModelKind::Gpt2L;
+        let model = fig11::MODEL;
         let batch = middle_batch(model);
         for &n in fig11::DEGREES {
-            let key = grid_key("", model, batch, &format!("deepum-N{n}"));
+            let key = grid_key("", model, batch, &fig11::tag(n));
             let system = System::DeepUm(DeepumConfig::default().with_prefetch_degree(n));
             cells.push(SuiteCell::new(key, model, batch, system));
         }
     }
     // Fig. 12 correlation-table geometry sweep on bert-large.
     {
-        let model = ModelKind::BertLarge;
+        let model = fig12::MODEL;
         let batch = middle_batch(model);
         for (i, &(assoc, succs, rows)) in fig12::CONFIGS.iter().enumerate() {
-            let key = grid_key("", model, batch, &format!("deepum-cfg{i}"));
+            let key = grid_key("", model, batch, &fig12::tag(i));
             let system =
                 System::DeepUm(DeepumConfig::default().with_block_table(assoc, succs, rows));
             cells.push(SuiteCell::new(key, model, batch, system));
@@ -210,8 +205,41 @@ pub fn digest(body: &str) -> String {
     format!("{h:016x}")
 }
 
-/// Runs one cell and reduces it to its measured outcome.
-pub fn run_cell(cell: &SuiteCell) -> CellOutcome {
+/// FNV-1a digest of an ordered `(key, hash)` list, one `key hash` line
+/// per cell: the identity of the grid EXPERIMENTS.md was rendered from.
+pub fn grid_digest<'a>(pairs: impl IntoIterator<Item = (&'a str, &'a str)>) -> String {
+    let body: String = pairs
+        .into_iter()
+        .map(|(key, hash)| format!("{key} {hash}\n"))
+        .collect();
+    digest(&body)
+}
+
+/// One recorded cell digest of the bench baseline.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct BaselineCell {
+    /// Cell key.
+    pub key: String,
+    /// Report digest.
+    pub hash: String,
+}
+
+/// The committed bench baseline (`ci/bench-baseline.json`).
+#[derive(Debug, Serialize, Deserialize)]
+pub struct SuiteBaseline {
+    /// Format version.
+    pub version: u32,
+    /// Serial suite wall-clock before the flat-table hot-path rewrite.
+    pub pre_pr_serial_wall_secs: f64,
+    /// Recorded serial suite wall-clock, the wall gate's reference.
+    pub serial_wall_secs: f64,
+    /// Report digest per cell, in [`suite_cells`] order.
+    pub cells: Vec<BaselineCell>,
+}
+
+/// Runs one cell and reduces it to its measured outcome, handing back
+/// the report the outcome was measured from.
+pub fn run_cell(cell: &SuiteCell) -> (CellOutcome, Result<RunReport, RunError>) {
     let started = Instant::now();
     let result = simulate(cell, None);
     let wall_secs = started.elapsed().as_secs_f64();
@@ -219,14 +247,15 @@ pub fn run_cell(cell: &SuiteCell) -> CellOutcome {
         Ok(r) => (r.counters.kernels_launched, r.total.as_nanos(), true),
         Err(_) => (0, 0, false),
     };
-    CellOutcome {
+    let outcome = CellOutcome {
         key: cell.key.clone(),
         wall_secs,
         kernels,
         sim_ns,
         ok,
         hash: digest(&report_json(&result)),
-    }
+    };
+    (outcome, result)
 }
 
 /// Runs a cell and returns its canonical report JSON (equivalence-test
@@ -246,7 +275,7 @@ pub fn cell_traced(cell: &SuiteCell) -> (String, String) {
 
 /// Runs every cell on the calling thread, in order.
 pub fn run_serial(cells: &[SuiteCell]) -> Vec<CellOutcome> {
-    cells.iter().map(run_cell).collect()
+    cells.iter().map(|c| run_cell(c).0).collect()
 }
 
 /// Runs every cell on the rayon pool; outcomes come back in input order.
@@ -254,7 +283,7 @@ pub fn run_parallel(cells: &[SuiteCell]) -> Vec<CellOutcome> {
     cells
         .to_vec()
         .into_par_iter()
-        .map(|c| run_cell(&c))
+        .map(|c| run_cell(&c).0)
         .collect()
 }
 

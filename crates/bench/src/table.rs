@@ -1,12 +1,7 @@
-//! Plain-text table rendering plus JSON export for experiment output.
-
-use std::io::Write as _;
-use std::path::Path;
-
-use serde::Serialize;
+//! Plain-text table rendering for experiment output.
 
 /// A printable experiment table.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Table title (printed above).
     pub title: String,
@@ -65,38 +60,15 @@ impl Table {
         }
         out
     }
-
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        println!("{}", self.render());
-    }
 }
 
-/// Writes `value` as pretty JSON to `dir/name.json`, creating `dir`.
-///
-/// # Panics
-///
-/// Panics on I/O failure (experiment binaries want loud failures).
-pub fn write_json<T: Serialize>(dir: &Path, name: &str, value: &T) {
-    std::fs::create_dir_all(dir).expect("create results dir");
-    let path = dir.join(format!("{name}.json"));
-    let mut f = std::fs::File::create(&path).expect("create results file");
-    let body = serde_json::to_string_pretty(value).expect("serialize results");
-    f.write_all(body.as_bytes()).expect("write results");
-    eprintln!("[written] {}", path.display());
-}
-
-/// Formats a ratio with two decimals, or `-` for absent runs.
-pub fn ratio(value: Option<f64>) -> String {
+/// Formats a number with `decimals` decimals, or `-` when it is absent
+/// (a run that ended in a typed error) or not finite.
+pub fn num(value: Option<f64>, decimals: usize) -> String {
     match value {
-        Some(v) if v.is_finite() => format!("{v:.2}"),
+        Some(v) if v.is_finite() => format!("{v:.decimals$}"),
         _ => "-".into(),
     }
-}
-
-/// Formats virtual seconds with three decimals.
-pub fn secs(ns: deepum_sim::time::Ns) -> String {
-    format!("{:.3}", ns.as_secs_f64())
 }
 
 #[cfg(test)]
@@ -117,20 +89,10 @@ mod tests {
     }
 
     #[test]
-    fn ratio_formats() {
-        assert_eq!(ratio(Some(1.234)), "1.23");
-        assert_eq!(ratio(None), "-");
-        assert_eq!(ratio(Some(f64::INFINITY)), "-");
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let dir = std::env::temp_dir().join("deepum-table-test");
-        let mut t = Table::new("x", &["a"]);
-        t.row(["1"]);
-        write_json(&dir, "t", &t);
-        let body = std::fs::read_to_string(dir.join("t.json")).unwrap();
-        assert!(body.contains("\"title\""));
-        std::fs::remove_dir_all(&dir).ok();
+    fn num_formats() {
+        assert_eq!(num(Some(1.234), 2), "1.23");
+        assert_eq!(num(Some(1.6), 0), "2");
+        assert_eq!(num(None, 2), "-");
+        assert_eq!(num(Some(f64::INFINITY), 2), "-");
     }
 }

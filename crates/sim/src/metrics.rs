@@ -6,8 +6,6 @@
 //! traffic (migrations, evictions, invalidations, prefetches) so each
 //! experiment can report exactly what the paper reports.
 
-use core::fmt;
-
 use serde::{Deserialize, Serialize};
 
 /// Declares [`Counters`] from one field list and derives from the same
@@ -91,9 +89,9 @@ counters! {
     pages_prefetched,
     /// Prefetch commands consumed by the migration thread.
     prefetch_commands,
-    /// Prefetched blocks later touched by the GPU before eviction.
+    /// Prefetched pages later touched by the GPU before eviction.
     prefetch_hits,
-    /// Prefetched blocks evicted (or invalidated) untouched.
+    /// Prefetched pages evicted (or invalidated) untouched.
     prefetch_wasted,
     /// Prefetch commands dropped because no device space was free and
     /// pre-eviction was disabled.
@@ -137,23 +135,6 @@ impl Counters {
     /// Total pages moved or dropped device → host.
     pub fn pages_evicted(&self) -> u64 {
         self.pages_evicted_demand + self.pages_preevicted + self.pages_invalidated
-    }
-}
-
-impl fmt::Display for Counters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "gpu_page_faults:      {:>14}", self.gpu_page_faults)?;
-        writeln!(f, "fault_batches:        {:>14}", self.fault_batches)?;
-        writeln!(f, "pages_faulted_in:     {:>14}", self.pages_faulted_in)?;
-        writeln!(f, "pages_prefetched:     {:>14}", self.pages_prefetched)?;
-        writeln!(f, "prefetch_hits:        {:>14}", self.prefetch_hits)?;
-        writeln!(f, "prefetch_wasted:      {:>14}", self.prefetch_wasted)?;
-        writeln!(f, "pages_evicted_demand: {:>14}", self.pages_evicted_demand)?;
-        writeln!(f, "pages_preevicted:     {:>14}", self.pages_preevicted)?;
-        writeln!(f, "pages_invalidated:    {:>14}", self.pages_invalidated)?;
-        writeln!(f, "bytes_h2d:            {:>14}", self.bytes_h2d)?;
-        writeln!(f, "bytes_d2h:            {:>14}", self.bytes_d2h)?;
-        write!(f, "kernels_launched:     {:>14}", self.kernels_launched)
     }
 }
 
@@ -210,10 +191,5 @@ mod tests {
         };
         assert_eq!(c.pages_migrated_in(), 5);
         assert_eq!(c.pages_evicted(), 10);
-    }
-
-    #[test]
-    fn display_is_nonempty() {
-        assert!(!Counters::default().to_string().is_empty());
     }
 }
