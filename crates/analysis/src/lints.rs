@@ -187,7 +187,8 @@ const RESULT_PATTERNS: &[&str] = &["let _ =", "let _=", ".ok()", ".unwrap_or_def
 /// loops the ROADMAP's flat-table rewrite targets, plus the wear extent
 /// map and the checkpoint ring — retirement sampling consults the wear
 /// map on every fault drain, and the ring's store runs inside the
-/// checkpoint cadence. The committed baseline
+/// checkpoint cadence — and the prefetching thread's chain walk and
+/// footprint table, which run once per chain emission. The committed baseline
 /// (`ci/tidy-baseline.json`) grandfathers today's counts; the lint is
 /// the scoreboard that only lets them fall.
 const HOT_PATH_FILES: &[&str] = &[
@@ -197,6 +198,8 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/um/src/wear.rs",
     "crates/gpu/src/engine.rs",
     "crates/core/src/ckpt.rs",
+    "crates/core/src/chain.rs",
+    "crates/core/src/footprint.rs",
 ];
 
 /// Allocation patterns for `hot-path-alloc`. `.collect` (no parens)

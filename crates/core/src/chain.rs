@@ -14,7 +14,7 @@
 //! prefetching thread resumes after the currently executing kernel
 //! finishes."
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use deepum_mem::BlockNum;
 use deepum_runtime::exec_table::ExecId;
@@ -22,6 +22,7 @@ use deepum_um::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
 use crate::correlation::{BlockCorrelationTable, ExecCorrelationTable};
 use crate::queues::PrefetchCommand;
+use crate::stripe::{join, split, Stripes};
 
 /// Outcome of one chaining step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +46,79 @@ pub enum ChainStep {
     Ended,
 }
 
+/// The blocks one kernel's walk has met, as epoch stamps on dense
+/// per-stripe offset arrays: a block is in the set iff its stamp equals
+/// the current epoch. The walk clears the set at every kernel
+/// transition and every restart, so [`VisitedSet::clear`] only bumps
+/// the epoch and keeps the arrays.
+#[derive(Debug, Clone)]
+struct VisitedSet {
+    stamps: Stripes<Vec<u32>>,
+    /// Stamp of the current contents; never 0, the stamp of an offset
+    /// no walk has met.
+    epoch: u32,
+    len: usize,
+}
+
+impl VisitedSet {
+    fn new() -> Self {
+        VisitedSet {
+            stamps: Stripes::default(),
+            epoch: 1,
+            len: 0,
+        }
+    }
+
+    /// Inserts `block`; true if it was not already present.
+    #[inline]
+    fn insert(&mut self, block: BlockNum) -> bool {
+        let (id, offset) = split(block);
+        let stamps = self.stamps.entry(id);
+        if stamps.len() <= offset {
+            stamps.resize(offset + 1, 0);
+        }
+        if stamps[offset] == self.epoch {
+            return false;
+        }
+        stamps[offset] = self.epoch;
+        self.len += 1;
+        true
+    }
+
+    /// Empties the set. Re-zeroes the arrays only when the epoch wraps.
+    fn clear(&mut self) {
+        self.len = 0;
+        if self.epoch == u32::MAX {
+            for stamps in self.stamps.values_mut() {
+                stamps.iter_mut().for_each(|s| *s = 0);
+            }
+            self.epoch = 1;
+        } else {
+            self.epoch += 1;
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The blocks in the set, ascending.
+    fn iter(&self) -> impl Iterator<Item = BlockNum> + '_ {
+        let epoch = self.epoch;
+        self.stamps.iter().flat_map(move |(id, stamps)| {
+            stamps
+                .iter()
+                .enumerate()
+                .filter(move |(_, s)| **s == epoch)
+                .map(move |(offset, _)| join(id, offset))
+        })
+    }
+}
+
 /// State of one chaining walk, (re)started at every page-fault batch.
+///
+/// The driver keeps one walk and [`ChainWalk::restart`]s it in place, so
+/// its queues and visited set keep their storage across fault batches.
 #[derive(Debug, Clone)]
 pub struct ChainWalk {
     exec: ExecId,
@@ -60,7 +133,7 @@ pub struct ChainWalk {
     emit_q: VecDeque<BlockNum>,
     /// Blocks whose successors have not been expanded yet.
     frontier: VecDeque<BlockNum>,
-    visited: BTreeSet<BlockNum>,
+    visited: VisitedSet,
 }
 
 impl ChainWalk {
@@ -68,9 +141,7 @@ impl ChainWalk {
     /// the kernel with execution ID `exec`; `history` is the three
     /// kernels that ran before `exec` (oldest first).
     pub fn new(exec: ExecId, history: [ExecId; 3], fault_block: BlockNum) -> Self {
-        let mut visited = BTreeSet::new();
-        visited.insert(fault_block);
-        ChainWalk {
+        let mut walk = ChainWalk {
             exec,
             history,
             origin: fault_block,
@@ -81,8 +152,28 @@ impl ChainWalk {
             kernels_ahead: 0,
             emit_q: VecDeque::new(),
             frontier: VecDeque::new(),
-            visited,
-        }
+            visited: VisitedSet::new(),
+        };
+        walk.visited.insert(fault_block);
+        walk
+    }
+
+    /// Restarts the walk in place at `fault_block`, exactly as
+    /// [`ChainWalk::new`] would start it, but keeping the storage of its
+    /// queues and visited set.
+    pub fn restart(&mut self, exec: ExecId, history: [ExecId; 3], fault_block: BlockNum) {
+        self.exec = exec;
+        self.history = history;
+        self.origin = fault_block;
+        self.seeded = false;
+        self.pending_transition = false;
+        self.paused = false;
+        self.ended = false;
+        self.kernels_ahead = 0;
+        self.emit_q.clear();
+        self.frontier.clear();
+        self.visited.clear();
+        self.visited.insert(fault_block);
     }
 
     /// How many kernel transitions the walk has made beyond the currently
@@ -204,7 +295,7 @@ impl ChainWalk {
             }
         }
         w.u64(deepum_mem::u64_from_usize(self.visited.len()));
-        for &b in &self.visited {
+        for b in self.visited.iter() {
             w.block(b);
         }
     }
@@ -231,7 +322,7 @@ impl ChainWalk {
         for _ in 0..r.len_prefix(8)? {
             frontier.push_back(r.block()?);
         }
-        let mut visited = BTreeSet::new();
+        let mut visited = VisitedSet::new();
         for _ in 0..r.len_prefix(8)? {
             visited.insert(r.block()?);
         }
@@ -313,7 +404,7 @@ mod tests {
 
     /// Builds the Fig. 7 tables: exec 0 over blocks a..q, exec 1 starting
     /// at k.
-    fn fig7() -> (Vec<Option<BlockCorrelationTable>>, ExecCorrelationTable) {
+    pub(super) fn fig7() -> (Vec<Option<BlockCorrelationTable>>, ExecCorrelationTable) {
         let (a, bb, c, d, ee, p, q) = (1, 2, 3, 4, 5, 16, 17);
         let mut t0 = BlockCorrelationTable::new(64, 2, 4);
         t0.record_pair(b(a), b(bb));
@@ -479,7 +570,7 @@ mod more_tests {
 
     /// A two-kernel ring: exec 0 walks blocks 0->1->2, exec 1 walks
     /// 10->11, and each predicts the other.
-    fn ring() -> (Vec<Option<BlockCorrelationTable>>, ExecCorrelationTable) {
+    pub(super) fn ring() -> (Vec<Option<BlockCorrelationTable>>, ExecCorrelationTable) {
         let mut t0 = BlockCorrelationTable::new(64, 2, 4);
         t0.record_pair(b(0), b(1));
         t0.record_pair(b(1), b(2));
@@ -559,5 +650,192 @@ mod more_tests {
             }
         }
         assert_eq!(emitted, vec![1, 2]);
+    }
+}
+
+/// `ChainWalk::restart` against a fresh `ChainWalk::new`: one reused
+/// walk, restarted mid-walk over and over, must step and encode exactly
+/// like a walk built from scratch at every restart.
+#[cfg(test)]
+mod restart_tests {
+    use deepum_mem::bitmap::STRIPE_BLOCK_SHIFT;
+    use deepum_sim::rng::DetRng;
+
+    use super::*;
+
+    type Tables = (Vec<Option<BlockCorrelationTable>>, ExecCorrelationTable);
+
+    fn encoded(walk: &ChainWalk) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        walk.encode_into(&mut w);
+        w.finish()
+    }
+
+    /// A block in one of two VA stripes.
+    fn block(rng: &mut DetRng) -> BlockNum {
+        let stripe = rng.below(2) * 5;
+        BlockNum::new((stripe << STRIPE_BLOCK_SHIFT) + rng.below(48))
+    }
+
+    fn pick<T: Copy>(rng: &mut DetRng, items: &[T]) -> T {
+        items[usize::try_from(rng.below(items.len() as u64)).unwrap()]
+    }
+
+    /// Seeded random tables over four kernels: a random launch sequence
+    /// fills the execution table, and each kernel's block table (one is
+    /// sometimes missing) gets random pairs and anchors. Returns the
+    /// tables and the (exec, history) contexts the sequence visited.
+    fn random_tables(rng: &mut DetRng) -> (Tables, Vec<(ExecId, [ExecId; 3])>) {
+        const KERNELS: u32 = 4;
+        let mut seq: Vec<ExecId> = (0..3).map(ExecId).collect();
+        for _ in 0..40 {
+            seq.push(ExecId(
+                u32::try_from(rng.below(u64::from(KERNELS))).unwrap(),
+            ));
+        }
+        let mut exec = ExecCorrelationTable::new();
+        let mut contexts = Vec::new();
+        for w in seq.windows(5) {
+            let history = [w[0], w[1], w[2]];
+            exec.record(w[3], history, w[4]);
+            contexts.push((w[3], history));
+        }
+        let missing = rng.below(u64::from(KERNELS) + 1);
+        let tables = (0..u64::from(KERNELS))
+            .map(|k| {
+                if k == missing {
+                    return None;
+                }
+                let mut t = BlockCorrelationTable::new(16, 2, 3);
+                for _ in 0..60 {
+                    let (from, to) = (block(rng), block(rng));
+                    t.record_pair(from, to);
+                }
+                if rng.below(4) != 0 {
+                    t.set_start(block(rng));
+                }
+                if rng.below(4) != 0 {
+                    t.set_end(block(rng));
+                }
+                Some(t)
+            })
+            .collect();
+        ((tables, exec), contexts)
+    }
+
+    /// Restarts one walk `restarts` times at random contexts and fault
+    /// blocks, stepping it in lockstep with a fresh walk for a random
+    /// number of steps (so most restarts land mid-walk) and comparing
+    /// every step and, at random points, the encoded state. Returns how
+    /// many emits and kernel transitions the walks made.
+    fn check_restart_matches_new(
+        (tables, exec): &Tables,
+        contexts: &[(ExecId, [ExecId; 3])],
+        blocks: &[BlockNum],
+        rng: &mut DetRng,
+        restarts: usize,
+    ) -> (usize, usize) {
+        let (mut emits, mut transitions) = (0, 0);
+        let (exec0, history0) = contexts[0];
+        let mut reused = ChainWalk::new(exec0, history0, blocks[0]);
+        for _ in 0..restarts {
+            let (cur, history) = pick(rng, contexts);
+            let fault = pick(rng, blocks);
+            let mut fresh = ChainWalk::new(cur, history, fault);
+            reused.restart(cur, history, fault);
+            assert_eq!(encoded(&reused), encoded(&fresh));
+            let max_ahead = usize::try_from(rng.below(4)).unwrap();
+            for _ in 0..rng.below(80) {
+                if rng.below(10) == 0 {
+                    fresh.on_kernel_advanced();
+                    reused.on_kernel_advanced();
+                }
+                let step = fresh.step(tables, exec, max_ahead);
+                assert_eq!(reused.step(tables, exec, max_ahead), step);
+                match step {
+                    ChainStep::Emit(_) => emits += 1,
+                    ChainStep::Transition { .. } => transitions += 1,
+                    ChainStep::Paused | ChainStep::Ended => {}
+                }
+                if rng.below(8) == 0 {
+                    assert_eq!(encoded(&reused), encoded(&fresh));
+                }
+            }
+            assert_eq!(encoded(&reused), encoded(&fresh));
+        }
+        (emits, transitions)
+    }
+
+    #[test]
+    fn restart_matches_new_on_fig7() {
+        let (tables, exec) = super::tests::fig7();
+        let contexts = [
+            (ExecId(0), [ExecId(10), ExecId(11), ExecId(12)]),
+            (ExecId(1), [ExecId(11), ExecId(12), ExecId(0)]),
+            (ExecId(0), [ExecId(1), ExecId(2), ExecId(3)]),
+        ];
+        let blocks: Vec<BlockNum> = (0..24).map(BlockNum::new).collect();
+        let mut rng = DetRng::seed(7);
+        let (emits, transitions) =
+            check_restart_matches_new(&(tables, exec), &contexts, &blocks, &mut rng, 200);
+        assert!(
+            emits > 200 && transitions > 20,
+            "{emits} emits, {transitions} transitions"
+        );
+    }
+
+    #[test]
+    fn restart_matches_new_on_ring() {
+        let (tables, exec) = super::more_tests::ring();
+        let contexts = [
+            (ExecId(0), [ExecId(1), ExecId(0), ExecId(1)]),
+            (ExecId(1), [ExecId(0), ExecId(1), ExecId(0)]),
+        ];
+        let blocks: Vec<BlockNum> = [0, 1, 2, 10, 11, 12].map(BlockNum::new).to_vec();
+        let mut rng = DetRng::seed(11);
+        let (emits, transitions) =
+            check_restart_matches_new(&(tables, exec), &contexts, &blocks, &mut rng, 200);
+        assert!(
+            emits > 200 && transitions > 20,
+            "{emits} emits, {transitions} transitions"
+        );
+    }
+
+    #[test]
+    fn restart_matches_new_on_random_tables() {
+        let (mut emits, mut transitions) = (0, 0);
+        for seed in 0..24 {
+            let mut rng = DetRng::seed(seed);
+            let (tables, contexts) = random_tables(&mut rng);
+            let blocks: Vec<BlockNum> = (0..16).map(|_| block(&mut rng)).collect();
+            let (e, t) = check_restart_matches_new(&tables, &contexts, &blocks, &mut rng, 60);
+            emits += e;
+            transitions += t;
+        }
+        assert!(
+            emits > 2000 && transitions > 200,
+            "{emits} emits, {transitions} transitions"
+        );
+    }
+
+    #[test]
+    fn visited_set_survives_epoch_wrap() {
+        let mut set = VisitedSet::new();
+        set.epoch = u32::MAX - 1;
+        let (a, b) = (
+            BlockNum::new(3),
+            BlockNum::new((1 << STRIPE_BLOCK_SHIFT) + 9),
+        );
+        assert!(set.insert(a));
+        set.clear();
+        assert_eq!(set.epoch, u32::MAX);
+        assert!(set.insert(b));
+        assert!(!set.insert(b));
+        set.clear();
+        assert_eq!(set.epoch, 1);
+        assert_eq!(set.len(), 0);
+        assert_eq!(set.iter().count(), 0);
+        assert!(set.insert(a) && set.insert(b));
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![a, b]);
     }
 }

@@ -3,6 +3,13 @@
 use deepum_mem::BlockNum;
 use deepum_um::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
+/// Fixed per-table bytes that Table 4 accounting charges on top of the
+/// ways. It is the model's figure for the table header (the host size
+/// of [`BlockCorrelationTable`] when the figure was fixed), not the
+/// current host layout: `table_bytes` is in every DeepUM report, and a
+/// field change must not move it.
+pub const TABLE_HEADER_BYTES: usize = 88;
+
 /// One way of a set: a tagged block and its MRU-ordered successors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Way {
@@ -251,10 +258,11 @@ impl BlockCorrelationTable {
 
     /// Full-capacity memory footprint of the table, matching how the real
     /// kernel module would allocate it (Table 4 accounting):
-    /// `NumRows × Assoc` ways of one tag plus `NumSuccs` successor slots.
+    /// a fixed header plus `NumRows × Assoc` ways of one tag and
+    /// `NumSuccs` successor slots.
     pub fn memory_bytes(&self) -> usize {
         let way_bytes = core::mem::size_of::<BlockNum>() * (1 + self.num_succs);
-        core::mem::size_of::<Self>() + self.rows.len() * self.assoc * way_bytes
+        TABLE_HEADER_BYTES + self.rows.len() * self.assoc * way_bytes
     }
 }
 

@@ -102,6 +102,9 @@ pub struct DeepumDriver {
     /// Reused per-drain fault-group buffer (block, pages); contents are
     /// meaningless between drains, only the capacity persists.
     pub(crate) fault_groups: Vec<(BlockNum, PageMask)>,
+    /// Reused per-drain (block, recorded predecessor) buffer; like
+    /// `fault_groups`, only its capacity outlives a drain.
+    pub(crate) fault_pairs: Vec<(BlockNum, Option<BlockNum>)>,
     pub(crate) protected: SharedBlockSet,
     pub(crate) predicted_window: VecDeque<(u64, BlockNum)>,
     pub(crate) kernel_seq: u64,
@@ -196,6 +199,7 @@ impl DeepumDriver {
             prefetch_q,
             enqueued: DenseBlockSet::new(),
             fault_groups: Vec::new(),
+            fault_pairs: Vec::new(),
             protected,
             predicted_window: VecDeque::new(),
             kernel_seq: 0,
@@ -767,7 +771,7 @@ impl UmBackend for DeepumDriver {
             // First pass: footprints and injected pair-drop rolls. The
             // table borrow below locks `self`, so every decision that
             // needs other fields is made up front.
-            let mut pairs: Vec<(BlockNum, Option<BlockNum>)> = Vec::with_capacity(groups.len());
+            let mut pairs = std::mem::take(&mut self.fault_pairs);
             for (block, mask) in &groups {
                 self.footprints.record(*block, mask);
                 let recorded = match self.prev_fault_block {
@@ -811,11 +815,17 @@ impl UmBackend for DeepumDriver {
                 }
             }
             self.local.block_table_updates += recorded_pairs;
+            pairs.clear();
+            self.fault_pairs = pairs;
 
-            // Prefetching thread: chaining restarts at every new fault.
+            // Prefetching thread: chaining restarts at every new fault,
+            // reusing the one walk's storage.
             if self.prefetch_active() {
                 if let Some(&(block, _)) = groups.last() {
-                    self.chain = Some(ChainWalk::new(cur, self.history, block));
+                    match self.chain.as_mut() {
+                        Some(walk) => walk.restart(cur, self.history, block),
+                        None => self.chain = Some(ChainWalk::new(cur, self.history, block)),
+                    }
                     self.local.chain_walks += 1;
                     self.pump_chain();
                 }

@@ -36,6 +36,7 @@ pub mod driver;
 pub mod footprint;
 pub mod queues;
 pub mod recovery;
+mod stripe;
 pub mod watchdog;
 
 pub use config::DeepumConfig;
