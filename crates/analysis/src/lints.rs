@@ -26,7 +26,7 @@ pub const LINTS: &[Lint] = &[
     Lint {
         id: "determinism-container",
         phase: "line",
-        summary: "forbid default-hasher HashMap/HashSet in sim/core/um/gpu/runtime (iteration order must be deterministic)",
+        summary: "forbid default-hasher HashMap/HashSet (iteration order must be deterministic) and RwLock/Mutex (state has one owner) in sim/core/um/gpu/runtime/sched/serve",
     },
     Lint {
         id: "determinism-wallclock",
@@ -107,6 +107,11 @@ const CONTAINER_CRATES: &[&str] = &["sim", "core", "um", "gpu", "runtime", "sche
 
 /// Identifier patterns for `determinism-container`.
 const CONTAINER_PATTERNS: &[&str] = &["HashMap", "HashSet"];
+
+/// Lock patterns for `determinism-container`. These crates may not
+/// spawn threads, so every value has one owner and a lock only hides
+/// aliasing; state handed between components is moved or swapped.
+const LOCK_PATTERNS: &[&str] = &["RwLock", "Mutex"];
 
 /// Crates allowed to read wall clocks etc. (shims are skipped wholesale
 /// by the walker and never reach the lints).
@@ -300,6 +305,16 @@ pub fn check_line(
                     "`{pat}` iterates in hash order; use BTreeMap/BTreeSet (or a seeded hasher) so replays are bit-identical"
                 ),
             });
+        } else if let Some((pat, col, end_col)) = first_hit(code, LOCK_PATTERNS) {
+            out.push(Candidate {
+                line: line_no,
+                col,
+                end_col,
+                lint: "determinism-container",
+                message: format!(
+                    "`{pat}` in a single-threaded crate; give the state one owner and move or swap it instead of sharing it"
+                ),
+            });
         }
     }
     if enabled("determinism-wallclock")
@@ -480,6 +495,32 @@ mod tests {
         assert!(matches_pattern("let s = plan.clone();", ".clone()"));
         // `cloned()` on iterators of Copy types is not the same hazard.
         assert!(!matches_pattern("ids.iter().cloned()", ".clone()"));
+    }
+
+    #[test]
+    fn locks_are_forbidden_in_container_crates() {
+        let hits = |crate_name: &str, code: &str| {
+            let scope = FileScope {
+                rel_path: format!("crates/{crate_name}/src/fixture.rs"),
+                crate_name: crate_name.to_string(),
+                crate_root: false,
+            };
+            let mut out = Vec::new();
+            check_line(&scope, 1, code, false, &|_| true, &mut out);
+            out.into_iter().map(|c| (c.lint, c.col)).collect::<Vec<_>>()
+        };
+        let lock = "use std::sync::{Arc, RwLock};";
+        assert_eq!(hits("um", lock), vec![("determinism-container", 22)]);
+        assert_eq!(
+            hits("serve", "static S: Mutex<u32> = Mutex::new(0);"),
+            vec![("determinism-container", 11)]
+        );
+        assert!(
+            hits("bench", lock).is_empty(),
+            "bench may share across threads"
+        );
+        assert!(hits("um", "let g = set.read();").is_empty());
+        assert!(hits("core", "struct MutexLike;").is_empty());
     }
 
     #[test]

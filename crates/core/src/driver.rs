@@ -33,7 +33,6 @@ use deepum_sim::metrics::Counters;
 use deepum_sim::time::Ns;
 use deepum_trace::{InjectKind, PressureLevel, SharedTracer, TraceEvent, WatchdogMode};
 use deepum_um::driver::UmDriver;
-use deepum_um::evict::SharedBlockSet;
 use deepum_um::hints::Advice;
 use deepum_um::pressure::PressureConfig;
 use deepum_um::scratch::group_faults_into;
@@ -105,7 +104,6 @@ pub struct DeepumDriver {
     /// Reused per-drain (block, recorded predecessor) buffer; like
     /// `fault_groups`, only its capacity outlives a drain.
     pub(crate) fault_pairs: Vec<(BlockNum, Option<BlockNum>)>,
-    pub(crate) protected: SharedBlockSet,
     pub(crate) predicted_window: VecDeque<(u64, BlockNum)>,
     pub(crate) kernel_seq: u64,
 
@@ -170,7 +168,6 @@ impl DeepumDriver {
                 thrashing_pct: cfg.pressure_thrashing_pct,
             });
         }
-        let protected = um.protected_set();
         let prefetch_q = SpscQueue::new(cfg.prefetch_queue_capacity);
         let watchdog = if cfg.enable_watchdog {
             Some(PrefetchWatchdog::new(
@@ -200,7 +197,6 @@ impl DeepumDriver {
             enqueued: DenseBlockSet::new(),
             fault_groups: Vec::new(),
             fault_pairs: Vec::new(),
-            protected,
             predicted_window: VecDeque::new(),
             kernel_seq: 0,
             h2d_debt: Ns::ZERO,
@@ -238,14 +234,6 @@ impl DeepumDriver {
     /// queues, and the watchdog stay with the tenant.
     pub fn swap_um(&mut self, other: &mut UmDriver) {
         std::mem::swap(&mut self.um, other);
-    }
-
-    /// The driver's eviction-protected (predicted-window) block set.
-    /// Clones share state: the multi-tenant scheduler registers this
-    /// set as the tenant's ledger set, so predictions made here steer
-    /// victim selection in the shared driver during the tenant's slot.
-    pub fn protected_set(&self) -> SharedBlockSet {
-        self.protected.clone()
     }
 
     /// Removes and returns the pressure governor installed on the
@@ -410,7 +398,7 @@ impl DeepumDriver {
         self.prefetch_q.clear();
         self.enqueued.clear();
         self.predicted_window.clear();
-        self.protected.clear();
+        self.um.protected_mut().clear();
         self.pending_prediction = None;
     }
 
@@ -454,7 +442,7 @@ impl DeepumDriver {
                         self.window_dropped += 1;
                     }
                     self.predicted_window.push_back((expires, cmd.block));
-                    self.protected.insert(cmd.block);
+                    self.um.protected_mut().insert(cmd.block);
                     if self.enqueued.contains(cmd.block) {
                         continue;
                     }
@@ -556,12 +544,11 @@ impl DeepumDriver {
         // whole memory and leave pre-eviction with no victims; protect
         // only the nearest-future predictions up to half of capacity.
         let max_protected = (self.um.capacity_pages() / PAGES_PER_BLOCK as u64 / 2).max(1) as usize;
-        self.protected.replace(
-            self.predicted_window
-                .iter()
-                .take(max_protected)
-                .map(|&(_, b)| b),
-        );
+        let protected = self.um.protected_mut();
+        protected.clear();
+        for &(_, block) in self.predicted_window.iter().take(max_protected) {
+            protected.insert(block);
+        }
     }
 
     /// Graceful-degradation report: watchdog state and transition

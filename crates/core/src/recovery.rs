@@ -210,9 +210,9 @@ pub fn snapshot_deepum(d: &DeepumDriver) -> Vec<u8> {
     for b in d.enqueued.iter() {
         w.block(b);
     }
-    let protected = d.protected.to_vec();
+    let protected = d.um.protected();
     w.u64(deepum_mem::u64_from_usize(protected.len()));
-    for b in protected {
+    for b in protected.iter() {
         w.block(b);
     }
     w.u64(deepum_mem::u64_from_usize(d.predicted_window.len()));
@@ -282,9 +282,9 @@ pub fn restore_deepum(d: &mut DeepumDriver, bytes: &[u8]) -> Result<(), Snapshot
     for _ in 0..r.len_prefix(8)? {
         enqueued.insert(r.block()?);
     }
-    let mut protected = Vec::new();
+    let mut protected = deepum_mem::DenseBlockSet::new();
     for _ in 0..r.len_prefix(8)? {
-        protected.push(r.block()?);
+        protected.insert(r.block()?);
     }
     let mut predicted_window = std::collections::VecDeque::new();
     for _ in 0..r.len_prefix(16)? {
@@ -321,9 +321,7 @@ pub fn restore_deepum(d: &mut DeepumDriver, bytes: &[u8]) -> Result<(), Snapshot
     d.chain = chain;
     d.prefetch_q = prefetch_q;
     d.enqueued = enqueued;
-    // The protected set is shared with the nested UM driver through an
-    // `Arc`; replacing its contents updates both views at once.
-    d.protected.replace(protected);
+    *d.um.protected_mut() = protected;
     d.predicted_window = predicted_window;
     d.kernel_seq = kernel_seq;
     d.h2d_debt = h2d_debt;

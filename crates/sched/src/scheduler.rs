@@ -328,7 +328,6 @@ impl MultiTenant {
             tid,
             spec.floor_pages,
             spec.priority,
-            run.driver.protected_set(),
             governor,
             run.tracer(),
             run.injector(),

@@ -6,19 +6,24 @@
 //! A slot is the window in which one tenant's private DeepUM stack
 //! holds the shared [`UmDriver`]:
 //!
-//! 1. [`open_slot`] marks the tenant active, collects the write-back
-//!    debt charged to it by fair-share evictions that ran while other
-//!    tenants held the device, and swaps the shared UM driver into the
-//!    tenant's [`DeepumDriver`]. The caller must advance the tenant's
-//!    virtual clock by the returned debt before executing work — debt
-//!    is paid by its cause, not by the bystander that triggered the
-//!    eviction.
-//! 2. The caller runs kernels against its private stack.
+//! 1. [`open_slot`] marks the tenant active (installing its parked
+//!    governor and protected set on the shared driver), collects the
+//!    write-back debt charged to it by fair-share evictions that ran
+//!    while other tenants held the device, and swaps the shared UM
+//!    driver into the tenant's [`DeepumDriver`]. The caller must
+//!    advance the tenant's virtual clock by the returned debt before
+//!    executing work — debt is paid by its cause, not by the bystander
+//!    that triggered the eviction.
+//! 2. The caller runs kernels against its private stack. Every DeepUM
+//!    write to the protected set happens here, through the shared
+//!    driver, which owns the set.
 //! 3. [`close_slot`] swaps the shared driver back out and ends the
-//!    slot on the shared driver's ledger.
+//!    slot, parking the governor and protected set in the tenant's
+//!    ledger again.
 //!
-//! Open/close must pair strictly; nesting slots on one shared driver
-//! is a protocol violation that `UmDriver::validate` surfaces.
+//! Open/close must pair strictly; nesting slots on one shared driver,
+//! or writing the protected set between slots, is a protocol violation
+//! that `UmDriver::validate` surfaces.
 
 use deepum_core::driver::DeepumDriver;
 use deepum_mem::TenantId;

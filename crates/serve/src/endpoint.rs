@@ -537,7 +537,7 @@ mod tests {
             false,
         );
         shared
-            .register_tenant(tid, 0, 1, ep.driver.protected_set(), None, None, None)
+            .register_tenant(tid, 0, 1, None, None, None)
             .expect("register");
         let out = serve_one(&mut ep, &mut shared, 8);
         assert!(matches!(out, RequestOutcome::Completed { .. }));
@@ -560,7 +560,7 @@ mod tests {
             false,
         );
         shared
-            .register_tenant(tid, 0, 1, ep.driver.protected_set(), None, None, None)
+            .register_tenant(tid, 0, 1, None, None, None)
             .expect("register");
         let now = ep.now();
         let debt = deepum_sched::open_slot(&mut shared, &mut ep.driver, tid, now);
@@ -595,15 +595,7 @@ mod tests {
             false,
         );
         shared
-            .register_tenant(
-                tid,
-                0,
-                1,
-                ep.driver.protected_set(),
-                None,
-                None,
-                ep.injector(),
-            )
+            .register_tenant(tid, 0, 1, None, None, ep.injector())
             .expect("register");
         let before = ep.now();
         let out = serve_one(&mut ep, &mut shared, 8);

@@ -115,7 +115,6 @@ impl ServeSim {
                 tid,
                 espec.floor_pages,
                 espec.priority,
-                ep.driver.protected_set(),
                 governor,
                 ep.tracer(),
                 ep.injector(),
@@ -163,7 +162,6 @@ impl ServeSim {
                 tid,
                 bspec.floor_pages,
                 bspec.priority,
-                run.driver.protected_set(),
                 governor,
                 run.tracer(),
                 run.injector(),

@@ -6,7 +6,7 @@
 //! least-recently-migrated policy and sit on the fault-handling critical
 //! path. The hook points used by DeepUM are:
 //!
-//! * [`UmDriver::protected_set`] — blocks the eviction scan must avoid
+//! * [`UmDriver::protected_mut`] — blocks the eviction scan must avoid
 //!   (the pre-eviction victim filter, Section 5.1);
 //! * [`UmDriver::prefetch_into_gpu`] — block migration off the fault
 //!   path, charged to the compute-overlap budget;
@@ -20,14 +20,16 @@
 
 use deepum_gpu::engine::{BackendError, PressureStats};
 use deepum_gpu::fault::{AccessKind, FaultEntry};
-use deepum_mem::{u64_from_usize, BlockNum, ByteRange, PageMask, TenantId, PAGE_BYTES};
+use deepum_mem::{
+    u64_from_usize, BlockNum, ByteRange, DenseBlockSet, PageMask, TenantId, PAGE_BYTES,
+};
 use deepum_sim::costs::CostModel;
 use deepum_sim::faultinject::SharedInjector;
 use deepum_sim::metrics::Counters;
 use deepum_sim::time::Ns;
 use deepum_trace::{EvictReason, InjectKind, PressureLevel, SharedTracer, TraceEvent};
 
-use crate::evict::{victim_scan, LruMigrated, SharedBlockSet, VictimPolicy};
+use crate::evict::{victim_scan, LruMigrated, VictimPolicy};
 use crate::hints::{Advice, HintTable};
 use crate::pressure::{PressureConfig, PressureGovernor};
 use crate::scratch::{group_faults_into, DrainScratch, Victim};
@@ -114,7 +116,11 @@ pub struct UmDriver {
     pub(crate) lru: LruMigrated,
     /// Reusable buffers for the fault-drain and eviction hot paths.
     scratch: DrainScratch,
-    pub(crate) protected: SharedBlockSet,
+    /// Blocks the eviction scan passes over while anything else fits:
+    /// DeepUM's predicted window. In tenancy mode this is the active
+    /// tenant's set, parked in its ledger between slots like the
+    /// governor, so it is empty while no slot is open.
+    pub(crate) protected: DenseBlockSet,
     pub(crate) counters: Counters,
     injector: Option<SharedInjector>,
     tracer: Option<SharedTracer>,
@@ -152,7 +158,7 @@ impl UmDriver {
             blocks: BlockTable::new(),
             lru: LruMigrated::new(),
             scratch: DrainScratch::default(),
-            protected: SharedBlockSet::new(),
+            protected: DenseBlockSet::new(),
             counters: Counters::new(),
             injector: None,
             tracer: None,
@@ -255,10 +261,15 @@ impl UmDriver {
         self.counters
     }
 
-    /// Handle to the eviction-protected block set. Clones share state, so
-    /// DeepUM keeps one clone and updates it as predictions change.
-    pub fn protected_set(&self) -> SharedBlockSet {
-        self.protected.clone()
+    /// The eviction-protected block set.
+    pub fn protected(&self) -> &DenseBlockSet {
+        &self.protected
+    }
+
+    /// The eviction-protected block set, for DeepUM to update as its
+    /// predictions change.
+    pub fn protected_mut(&mut self) -> &mut DenseBlockSet {
+        &mut self.protected
     }
 
     /// Subset of `pages` in `block` not resident on the device.
@@ -975,9 +986,8 @@ impl UmDriver {
                     if budget == 0 {
                         continue;
                     }
-                    let protected = protected.read();
                     let policy = VictimPolicy {
-                        protected: &protected,
+                        protected,
                         governor,
                         hints: Some(&self.hints),
                     };
@@ -1117,8 +1127,8 @@ impl UmDriver {
 
     /// The tenant `charge` names when it is not the active one; `None`
     /// for the active tenant, for no charge, and whenever no slot is
-    /// active. A foreign tenant's tracer, injector and governor are
-    /// parked in its ledger.
+    /// active. A foreign tenant's tracer, injector, governor and
+    /// protected set are parked in its ledger.
     fn foreign(&self, charge: Option<TenantId>) -> Option<TenantId> {
         let active = self.active_tenant()?;
         charge.filter(|&c| c != active)
@@ -1318,9 +1328,10 @@ impl UmDriver {
     // ----- multi-tenancy -------------------------------------------------
 
     /// Registers a tenant on the shared driver, reserving `floor_pages`
-    /// of guaranteed residency. The tenant's protected set, governor,
-    /// tracer, and injector are parked in its ledger and installed on
-    /// the driver for the duration of each of its slots.
+    /// of guaranteed residency. The tenant's governor, tracer, and
+    /// injector are parked in its ledger next to an empty protected set,
+    /// and all four are installed on the driver for the duration of each
+    /// of its slots.
     ///
     /// # Errors
     ///
@@ -1328,13 +1339,11 @@ impl UmDriver {
     /// requested floor exceeds the capacity left after the floors of
     /// already-registered tenants — granting it could force another
     /// tenant below its guarantee.
-    #[allow(clippy::too_many_arguments)]
     pub fn register_tenant(
         &mut self,
         tid: TenantId,
         floor_pages: u64,
         priority: u32,
-        protected: SharedBlockSet,
         governor: Option<PressureGovernor>,
         tracer: Option<SharedTracer>,
         injector: Option<SharedInjector>,
@@ -1354,7 +1363,7 @@ impl UmDriver {
                 floor_pages,
                 priority: priority.max(1),
                 resident_pages: 0,
-                protected,
+                protected: DenseBlockSet::new(),
                 governor,
                 tracer,
                 injector,
@@ -1419,14 +1428,14 @@ impl UmDriver {
         t.slot_c0 = c0;
         t.slot_foreign = Counters::new();
         std::mem::swap(&mut self.pressure, &mut ledger.governor);
+        std::mem::swap(&mut self.protected, &mut ledger.protected);
         self.tracer = ledger.tracer.clone();
         self.injector = ledger.injector.clone();
-        self.protected = ledger.protected.clone();
     }
 
     /// Closes the active tenant's slot: folds the slot's counter delta
-    /// (minus foreign-charged activity) into its ledger, parks its
-    /// governor, tracer, and injector, and detaches the protected set.
+    /// (minus foreign-charged activity) into its ledger and parks its
+    /// governor, protected set, tracer, and injector.
     pub fn end_tenant_slot(&mut self, now: Ns) {
         let counters = self.counters;
         let Some(t) = self.tenancy.as_mut() else {
@@ -1437,6 +1446,7 @@ impl UmDriver {
         };
         if let Some(ledger) = t.tenants.get_mut(&prev) {
             std::mem::swap(&mut self.pressure, &mut ledger.governor);
+            std::mem::swap(&mut self.protected, &mut ledger.protected);
             let own = counters
                 .delta_since(&t.slot_c0)
                 .delta_since(&t.slot_foreign);
@@ -1445,7 +1455,6 @@ impl UmDriver {
             ledger.tracer = self.tracer.take();
             ledger.injector = self.injector.take();
         }
-        self.protected = SharedBlockSet::new();
     }
 
     /// Tenant whose slot is currently active, if any.
@@ -1687,12 +1696,11 @@ mod tests {
     #[test]
     fn protected_blocks_survive_eviction_when_possible() {
         let mut d = small_driver(2);
-        let protected = d.protected_set();
         d.handle_faults(Ns::from_nanos(1), &faults_for(0, 0..512))
             .expect("faults handled");
         d.handle_faults(Ns::from_nanos(2), &faults_for(1, 0..512))
             .expect("faults handled");
-        protected.insert(BlockNum::new(0)); // oldest, but protected
+        d.protected_mut().insert(BlockNum::new(0)); // oldest, but protected
         d.handle_faults(Ns::from_nanos(3), &faults_for(2, 0..512))
             .expect("faults handled");
         // Block 1 was evicted instead of the protected block 0.
@@ -1703,10 +1711,9 @@ mod tests {
     #[test]
     fn protection_yields_when_nothing_else_fits() {
         let mut d = small_driver(1);
-        let protected = d.protected_set();
         d.handle_faults(Ns::from_nanos(1), &faults_for(0, 0..512))
             .expect("faults handled");
-        protected.insert(BlockNum::new(0));
+        d.protected_mut().insert(BlockNum::new(0));
         // Only the protected block is resident; it must still be evicted.
         d.handle_faults(Ns::from_nanos(2), &faults_for(1, 0..512))
             .expect("faults handled");
@@ -2359,7 +2366,6 @@ mod tests {
                 TenantId(0),
                 0,
                 1,
-                SharedBlockSet::new(),
                 Some(PressureGovernor::new(PressureConfig::default())),
                 Some(tenant_tracer.clone()),
                 Some(plan.build_shared()),
@@ -2380,7 +2386,7 @@ mod tests {
             kernel(d, 3, &[2]);
             kernel(d, 4, &[3]); // evicts block 0
             kernel(d, 5, &[0]); // refault: block 0 cools down; evicts block 1
-            d.protected_set().insert(BlockNum::new(2));
+            d.protected_mut().insert(BlockNum::new(2));
             d.mark_invalidatable(block_range(3), true);
             // Block 5 takes the invalidatable block 3 (host OOM pass);
             // block 6 finds block 2 protected, block 0 cooling and block
@@ -2419,7 +2425,7 @@ mod tests {
         // the prefetch, the tenant overrides protection.
         for d in [&mut solo, &mut tenant] {
             for b in 0..8 {
-                d.protected_set().insert(BlockNum::new(b));
+                d.protected_mut().insert(BlockNum::new(b));
             }
             d.prefetch_into_gpu(Ns::from_nanos(7), BlockNum::new(7), &PageMask::full());
         }
@@ -2441,5 +2447,69 @@ mod tests {
         assert_eq!(tenant.resident_mask(BlockNum::new(7)).count(), 512);
         solo.validate().expect("solo driver validates");
         tenant.validate().expect("tenant driver validates");
+    }
+
+    /// A tenant's protected set is parked in its ledger between slots
+    /// and still steers the scan charged to it from another tenant's
+    /// slot: tenant A's oldest block is protected, so B's demand takes
+    /// A's other block. A's set comes back intact when its slot reopens.
+    #[test]
+    fn parked_protected_set_steers_the_foreign_scan() {
+        let (a, b) = (TenantId(0), TenantId(1));
+        let mut d = small_driver(4);
+        for tid in [a, b] {
+            d.register_tenant(tid, 0, 1, None, None, None)
+                .expect("floor 0 is admitted");
+        }
+        d.set_active_tenant(a, Ns::ZERO);
+        d.handle_faults(Ns::from_nanos(1), &faults_for(0, 0..512))
+            .expect("faults handled");
+        d.handle_faults(Ns::from_nanos(2), &faults_for(1, 0..512))
+            .expect("faults handled");
+        d.protected_mut().insert(BlockNum::new(0)); // A's oldest block
+        d.end_tenant_slot(Ns::from_nanos(2));
+        assert!(
+            d.protected().is_empty(),
+            "A's set is parked, not left behind"
+        );
+
+        d.set_active_tenant(b, Ns::ZERO);
+        assert!(d.protected().is_empty(), "B starts with its own empty set");
+        d.handle_faults(Ns::from_nanos(3), &faults_for(10, 0..512))
+            .expect("faults handled");
+        d.handle_faults(Ns::from_nanos(4), &faults_for(11, 0..512))
+            .expect("faults handled");
+        assert_eq!(d.free_pages(), 0);
+        // Both tenants are 1024 pages over a zero floor; the tie charges
+        // A, whose parked set passes over block 0 for block 1.
+        d.handle_faults(Ns::from_nanos(5), &faults_for(12, 0..512))
+            .expect("faults handled");
+        assert_eq!(d.resident_mask(BlockNum::new(0)).count(), 512);
+        assert!(d.resident_mask(BlockNum::new(1)).is_empty());
+        assert_eq!(d.tenant_ledger(a).map(|l| l.evictions_charged), Some(1));
+        assert_eq!(d.tenant_ledger(b).map(|l| l.resident_pages), Some(1536));
+        d.end_tenant_slot(Ns::from_nanos(5));
+        d.validate().expect("driver validates between slots");
+
+        d.set_active_tenant(a, Ns::from_nanos(6));
+        assert_eq!(d.protected().to_vec(), vec![BlockNum::new(0)]);
+        d.validate().expect("driver validates in A's slot");
+    }
+
+    /// Between slots every protected set is parked, so a write to the
+    /// driver's own set reaches no tenant and fails `validate()`.
+    #[test]
+    fn protected_write_between_slots_fails_validate() {
+        let mut d = small_driver(2);
+        d.register_tenant(TenantId(0), 0, 1, None, None, None)
+            .expect("floor 0 is admitted");
+        d.set_active_tenant(TenantId(0), Ns::ZERO);
+        d.protected_mut().insert(BlockNum::new(0));
+        d.validate().expect("a slot's own protected set is fine");
+        d.end_tenant_slot(Ns::ZERO);
+        d.validate().expect("the set is parked at the slot end");
+        d.protected_mut().insert(BlockNum::new(1));
+        let err = d.validate().expect_err("write between slots");
+        assert!(err.contains("no tenant slot is active"), "{err}");
     }
 }

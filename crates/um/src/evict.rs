@@ -5,122 +5,14 @@
 //! ordering but additionally skips blocks "expected to be accessed by
 //! the currently executing kernel and the next N kernels predicted to
 //! execute". The prediction lives in `deepum-core`; this crate only sees
-//! it as a shared *protected set* of blocks consulted at victim-selection
-//! time.
-
-use std::sync::{Arc, PoisonError, RwLock};
+//! it as the driver's *protected set* of blocks consulted at
+//! victim-selection time.
 
 use deepum_mem::{BlockNum, DenseBlockSet};
 use deepum_sim::time::Ns;
 
 use crate::hints::HintTable;
 use crate::pressure::PressureGovernor;
-
-/// A set of UM blocks the eviction scan must avoid, shared between the
-/// DeepUM prefetcher (writer) and the UM driver (reader).
-///
-/// Backed by a [`DenseBlockSet`] bitset so the membership check the
-/// victim scan performs per candidate is two array indexations instead
-/// of a `BTreeSet` walk; iteration stays ascending and deterministic. A
-/// poisoned lock is recovered by taking the inner set: every mutation
-/// below leaves the set valid, so a panic mid-write cannot corrupt it.
-///
-/// # Example
-///
-/// ```
-/// use deepum_um::evict::SharedBlockSet;
-/// use deepum_mem::BlockNum;
-///
-/// let set = SharedBlockSet::new();
-/// set.insert(BlockNum::new(3));
-/// assert!(set.contains(BlockNum::new(3)));
-/// set.clear();
-/// assert!(!set.contains(BlockNum::new(3)));
-/// ```
-#[derive(Debug, Default, Clone)]
-pub struct SharedBlockSet {
-    inner: Arc<RwLock<DenseBlockSet>>,
-}
-
-impl SharedBlockSet {
-    /// Creates an empty shared set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a block to the set.
-    pub fn insert(&self, block: BlockNum) {
-        self.inner
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(block);
-    }
-
-    /// Removes a block from the set.
-    pub fn remove(&self, block: BlockNum) {
-        self.inner
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(block);
-    }
-
-    /// Replaces the whole set in one write, reusing the bit storage.
-    pub fn replace<I: IntoIterator<Item = BlockNum>>(&self, blocks: I) {
-        let mut guard = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        guard.clear();
-        for block in blocks {
-            guard.insert(block);
-        }
-    }
-
-    /// Empties the set.
-    pub fn clear(&self) {
-        self.inner
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-    }
-
-    /// True if `block` is protected from eviction.
-    pub fn contains(&self, block: BlockNum) -> bool {
-        self.inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains(block)
-    }
-
-    /// One read-lock for a whole scan. The eviction scan checks
-    /// membership once per LRU candidate, thousands of times per call;
-    /// a lock acquisition per check (not the bitset probe itself)
-    /// dominated the suite profile, so scans borrow the underlying set
-    /// once and probe it directly.
-    pub fn read(&self) -> impl std::ops::Deref<Target = DenseBlockSet> + '_ {
-        self.inner.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Number of protected blocks.
-    pub fn len(&self) -> usize {
-        self.inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// True if nothing is protected.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot of the current contents, ascending. Used by the
-    /// checkpoint codec; the set is restored via
-    /// [`SharedBlockSet::replace`].
-    pub fn to_vec(&self) -> Vec<BlockNum> {
-        self.inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .to_vec()
-    }
-}
 
 /// Least-recently-migrated ordering over blocks.
 ///
@@ -173,9 +65,8 @@ impl LruMigrated {
 /// skip can never appear on the candidate list validate() inspects.
 #[derive(Debug, Clone, Copy)]
 pub struct VictimPolicy<'a> {
-    /// The DeepUM predicted-window protected set, borrowed once per
-    /// scan via [`SharedBlockSet::read`] so each candidate check is a
-    /// direct bitset probe, not a lock acquisition.
+    /// The DeepUM predicted-window protected set of the scope being
+    /// scanned; each candidate check is a direct bitset probe.
     pub protected: &'a DenseBlockSet,
     /// The memory-pressure governor, `None` when not installed.
     pub governor: Option<&'a PressureGovernor>,
@@ -300,28 +191,6 @@ mod tests {
     use crate::pressure::PressureConfig;
 
     #[test]
-    fn shared_set_round_trip() {
-        let s = SharedBlockSet::new();
-        assert!(s.is_empty());
-        s.insert(BlockNum::new(1));
-        s.insert(BlockNum::new(2));
-        assert_eq!(s.len(), 2);
-        s.remove(BlockNum::new(1));
-        assert!(!s.contains(BlockNum::new(1)));
-        s.replace([BlockNum::new(9)]);
-        assert_eq!(s.len(), 1);
-        assert!(s.contains(BlockNum::new(9)));
-    }
-
-    #[test]
-    fn shared_set_clones_share_state() {
-        let a = SharedBlockSet::new();
-        let b = a.clone();
-        a.insert(BlockNum::new(5));
-        assert!(b.contains(BlockNum::new(5)));
-    }
-
-    #[test]
     fn lru_orders_by_migration_time() {
         let mut lru = LruMigrated::new();
         lru.record_migration(BlockNum::new(10), None, Ns::from_nanos(30));
@@ -352,9 +221,8 @@ mod tests {
 
     #[test]
     fn policy_without_governor_only_honours_protection() {
-        let protected = SharedBlockSet::new();
+        let mut protected = DenseBlockSet::new();
         protected.insert(BlockNum::new(1));
-        let protected = protected.read();
         let policy = VictimPolicy {
             protected: &protected,
             governor: None,
@@ -368,12 +236,11 @@ mod tests {
 
     #[test]
     fn policy_with_governor_skips_cooldown_and_pins() {
-        let protected = SharedBlockSet::new();
+        let protected = DenseBlockSet::new();
         let mut g = PressureGovernor::new(PressureConfig::default());
         g.note_eviction(BlockNum::new(1));
         assert!(g.note_demand_arrival(BlockNum::new(1))); // refault → cooldown
         g.pin_inflight(BlockNum::new(2));
-        let protected = protected.read();
         let policy = VictimPolicy {
             protected: &protected,
             governor: Some(&g),
@@ -420,7 +287,7 @@ mod tests {
 
     #[test]
     fn demand_candidates_exclude_cooling_blocks() {
-        let protected = SharedBlockSet::new();
+        let protected = DenseBlockSet::new();
         let mut lru = LruMigrated::new();
         lru.record_migration(BlockNum::new(1), None, Ns::from_nanos(1));
         lru.record_migration(BlockNum::new(2), None, Ns::from_nanos(2));
@@ -429,7 +296,6 @@ mod tests {
         g.note_eviction(BlockNum::new(2));
         assert!(g.note_demand_arrival(BlockNum::new(2)));
         g.end_kernel(); // release the in-flight pin, keep the cooldown
-        let protected = protected.read();
         let policy = VictimPolicy {
             protected: &protected,
             governor: Some(&g),

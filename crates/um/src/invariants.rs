@@ -123,9 +123,8 @@ pub(crate) fn validate(d: &UmDriver) -> Result<(), String> {
     // a cooling block that still reaches the candidate list means
     // the scan and the governor clock have drifted apart.
     if let Some(g) = &d.pressure {
-        let protected = d.protected.read();
         let policy = VictimPolicy {
-            protected: &protected,
+            protected: &d.protected,
             governor: Some(g),
             hints: Some(&d.hints),
         };
@@ -144,9 +143,8 @@ pub(crate) fn validate(d: &UmDriver) -> Result<(), String> {
     // ordered before a non-duplicated one, i.e. a duplicated hot
     // weight is never the victim while a cooler victim exists.
     if !d.hints.no_read_mostly() {
-        let protected = d.protected.read();
         let policy = VictimPolicy {
-            protected: &protected,
+            protected: &d.protected,
             governor: d.pressure.as_ref(),
             hints: Some(&d.hints),
         };
@@ -165,8 +163,16 @@ pub(crate) fn validate(d: &UmDriver) -> Result<(), String> {
     // Multi-tenant invariants: floors must fit the device, each
     // ledger's residency must equal the sum over its owned blocks,
     // and fair-share eviction must never have pushed a tenant below
-    // its floor while another tenant was over quota.
+    // its floor while another tenant was over quota. Between slots
+    // every tenant's protected set is parked in its ledger, so the
+    // driver's own must be empty: a write there reaches no tenant.
     if let Some(t) = &d.tenancy {
+        if t.active.is_none() && !t.tenants.is_empty() && !d.protected.is_empty() {
+            return Err(format!(
+                "{} blocks protected on the driver while no tenant slot is active",
+                d.protected.len()
+            ));
+        }
         let mut owned: BTreeMap<TenantId, u64> = BTreeMap::new();
         for (_, state) in d.blocks.iter() {
             if let Some(tid) = state.owner {

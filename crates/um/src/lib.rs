@@ -16,7 +16,7 @@
 //! on-demand page migration with no prefetching. DeepUM
 //! (`deepum-core`) wraps it, feeding the fault stream into correlation
 //! tables and issuing prefetch/pre-evict/invalidate commands through the
-//! hook points this crate exposes ([`driver::UmDriver::set_protected`],
+//! hook points this crate exposes ([`driver::UmDriver::protected_mut`],
 //! [`driver::UmDriver::prefetch_into_gpu`],
 //! [`driver::UmDriver::preevict`], and
 //! [`driver::UmDriver::mark_invalidatable`]).
@@ -38,7 +38,6 @@ pub mod wear;
 
 pub use block::BlockState;
 pub use driver::{EvictCost, MigratePath, UmDriver};
-pub use evict::SharedBlockSet;
 pub use hints::{Advice, HintTable};
 pub use pressure::{PressureConfig, PressureGovernor};
 pub use scratch::DrainScratch;

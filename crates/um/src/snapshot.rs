@@ -620,8 +620,9 @@ const BLOCK_RECORD_BYTES: usize = 8 + 64 + 8 + 8 + 64 + 64 + 64 + 1;
 
 /// Restores [`UmDriver`] state written by [`write_driver_state`],
 /// replacing the block map, rebuilding the LRU order, and overwriting
-/// the counters and epochs. The protected set and injector handles are
-/// left untouched (they are shared with the prefetcher and the engine).
+/// the counters and epochs. The protected set is left untouched: DeepUM
+/// restores it with its own state. So are the injector handles, which
+/// are shared with the engine.
 ///
 /// # Errors
 ///

@@ -12,20 +12,20 @@
 //! * per-tenant residency, counters, charged evictions, and **reclaim
 //!   debt** — write-back time for evictions performed during *another*
 //!   tenant's slot, charged to this tenant's clock at its next slot;
-//! * the tenant's parked handles: its pressure governor, tracer, fault
-//!   injector, and eviction-protected set, swapped into the driver while
-//!   the tenant's slot is active so every existing emission and
-//!   injection path routes to the right tenant with no per-site changes.
+//! * the tenant's parked state: its pressure governor, eviction-protected
+//!   set, tracer, and fault injector. The driver owns whichever of these
+//!   the active tenant uses, and the slot swap parks them here between
+//!   the tenant's slots, so every existing emission, injection, and
+//!   eviction path routes to the right tenant with no per-site changes.
 
 use std::collections::BTreeMap;
 
-use deepum_mem::TenantId;
+use deepum_mem::{DenseBlockSet, TenantId};
 use deepum_sim::faultinject::SharedInjector;
 use deepum_sim::metrics::Counters;
 use deepum_sim::time::Ns;
 use deepum_trace::SharedTracer;
 
-use crate::evict::SharedBlockSet;
 use crate::pressure::PressureGovernor;
 
 /// Accounting and parked per-tenant handles for one tenant.
@@ -42,9 +42,10 @@ pub struct TenantLedger {
     pub priority: u32,
     /// Pages currently resident on the device and owned by this tenant.
     pub resident_pages: u64,
-    /// The tenant's eviction-protected (predicted-window) set; installed
-    /// as the driver's protected set while the tenant is active.
-    pub protected: SharedBlockSet,
+    /// The tenant's eviction-protected (predicted-window) set, parked
+    /// here between slots and swapped into the driver's `protected`
+    /// while the tenant is active. A foreign-charged scan reads it here.
+    pub protected: DenseBlockSet,
     /// The tenant's pressure governor, parked here between slots and
     /// swapped into the driver's `pressure` while the tenant is active.
     pub governor: Option<PressureGovernor>,
@@ -132,7 +133,7 @@ mod tests {
             floor_pages: floor,
             priority,
             resident_pages: resident,
-            protected: SharedBlockSet::new(),
+            protected: DenseBlockSet::new(),
             governor: None,
             tracer: None,
             injector: None,
