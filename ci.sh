@@ -42,6 +42,11 @@ cargo build --release --locked
 echo "== tests =="
 cargo test -q --locked --workspace
 
+echo "== benchmark harness tests =="
+# examples/benchmark is its own package (not a workspace member), so
+# the workspace run above does not reach its tests.
+cargo test -q --release --locked --manifest-path examples/benchmark/Cargo.toml
+
 echo "== deepum-tidy =="
 # The baseline grandfathers pre-existing hot-path-alloc counts; new
 # violations AND stale (already-fixed) entries both fail the run.

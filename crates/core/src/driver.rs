@@ -442,7 +442,7 @@ impl DeepumDriver {
                         self.window_dropped += 1;
                     }
                     self.predicted_window.push_back((expires, cmd.block));
-                    self.um.protected_mut().insert(cmd.block);
+                    self.um.protect(cmd.block);
                     if self.enqueued.contains(cmd.block) {
                         continue;
                     }

@@ -286,11 +286,6 @@ impl WorkloadBuilder {
         }
     }
 
-    /// Number of steps emitted so far.
-    pub fn step_count(&self) -> usize {
-        self.steps.len()
-    }
-
     /// Finishes the workload.
     pub fn build(self) -> Workload {
         Workload {

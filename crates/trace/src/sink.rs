@@ -126,7 +126,6 @@ enum SinkImpl {
     Null(NullSink),
     Ring(RingSink),
     Export(ExportSink),
-    Custom(Box<dyn TraceSink>),
 }
 
 impl SinkImpl {
@@ -135,7 +134,6 @@ impl SinkImpl {
             SinkImpl::Null(s) => s,
             SinkImpl::Ring(s) => s,
             SinkImpl::Export(s) => s,
-            SinkImpl::Custom(s) => s.as_ref(),
         }
     }
 
@@ -144,7 +142,6 @@ impl SinkImpl {
             SinkImpl::Null(s) => s,
             SinkImpl::Ring(s) => s,
             SinkImpl::Export(s) => s,
-            SinkImpl::Custom(s) => s.as_mut(),
         }
     }
 }
@@ -192,15 +189,6 @@ impl Tracer {
     pub fn export() -> Self {
         Tracer {
             sink: SinkImpl::Export(ExportSink::default()),
-            timeline: Timeline::default(),
-            emitted: 0,
-        }
-    }
-
-    /// Tracer over a caller-provided sink.
-    pub fn with_sink(sink: Box<dyn TraceSink>) -> Self {
-        Tracer {
-            sink: SinkImpl::Custom(sink),
             timeline: Timeline::default(),
             emitted: 0,
         }

@@ -7,7 +7,8 @@
 //! path. The hook points used by DeepUM are:
 //!
 //! * [`UmDriver::protected_mut`] — blocks the eviction scan must avoid
-//!   (the pre-eviction victim filter, Section 5.1);
+//!   (the pre-eviction victim filter, Section 5.1), and
+//!   [`UmDriver::protect`], its insert-only form;
 //! * [`UmDriver::prefetch_into_gpu`] — block migration off the fault
 //!   path, charged to the compute-overlap budget;
 //! * [`UmDriver::preevict`] — eviction off the fault path (Section 5.1);
@@ -176,6 +177,7 @@ impl UmDriver {
     /// driver runs exactly the pre-governor code.
     pub fn install_pressure_governor(&mut self, cfg: PressureConfig) {
         self.pressure = Some(PressureGovernor::new(cfg));
+        self.lru.clear_floor();
     }
 
     /// Current pressure classification; `Normal` when no governor is
@@ -200,6 +202,8 @@ impl UmDriver {
             Some(g) => g.end_kernel(),
             None => return,
         };
+        // The retired kernel's pins are released.
+        self.lru.clear_floor();
         if let Some(c) = change {
             self.trace(
                 now,
@@ -267,9 +271,17 @@ impl UmDriver {
     }
 
     /// The eviction-protected block set, for DeepUM to update as its
-    /// predictions change.
+    /// predictions change. Clears the scan floor: the caller may
+    /// unprotect a block the scan passed over.
     pub fn protected_mut(&mut self) -> &mut DenseBlockSet {
+        self.lru.clear_floor();
         &mut self.protected
+    }
+
+    /// Protects `block` from the first eviction pass. Insert-only, so
+    /// the scan floor stays valid.
+    pub fn protect(&mut self, block: BlockNum) {
+        self.protected.insert(block);
     }
 
     /// Subset of `pages` in `block` not resident on the device.
@@ -329,6 +341,7 @@ impl UmDriver {
     /// pages already resident when the hint lands were migrated
     /// exclusively and stay so until re-migrated.
     pub fn advise(&mut self, now: Ns, range: ByteRange, advice: Advice) -> u64 {
+        self.lru.clear_floor();
         let mut applied = 0u64;
         for (block, _mask) in range.block_footprints() {
             if self.hints.advise(block, advice) {
@@ -393,7 +406,17 @@ impl UmDriver {
             // on the blocks it touches (the advice described memory
             // that no longer exists).
             if !self.hints.is_empty() {
+                // Pages of the block that stay resident lose their
+                // duplicate: the device copy becomes the only one, as
+                // when a write collapses the hint.
+                if self.hints.is_read_mostly(block) {
+                    if let Some(state) = self.blocks.get_mut(block) {
+                        let duplicated = state.host_valid.intersect(&state.resident);
+                        state.host_valid.subtract_with(&duplicated);
+                    }
+                }
                 self.hints.clear(block);
+                self.lru.clear_floor();
             }
         }
         // Owners are only ever tagged while tenancy is active, so this
@@ -472,6 +495,7 @@ impl UmDriver {
                 if f.kind == AccessKind::Write {
                     let block = f.page.block();
                     if self.hints.collapse_read_mostly(block) {
+                        self.lru.clear_floor();
                         if let Some(state) = self.blocks.get_mut(block) {
                             let stale = state.host_valid.intersect(&state.resident);
                             state.host_valid.subtract_with(&stale);
@@ -912,7 +936,9 @@ impl UmDriver {
     /// prefetch is sized against its floor, so abandoning it would leak
     /// a `PrefetchDrop` into the tenant's trace that a solo run would not
     /// have. The scan walks the LRU lazily, once per scope and pass, into
-    /// the driver's scratch buffers.
+    /// the driver's scratch buffers. The one-scope LRU pass starts just
+    /// past the LRU's scan floor and moves it forward over the prefix it
+    /// passes over (see [`LruMigrated`]).
     fn evict_to_free(
         &mut self,
         now: Ns,
@@ -954,6 +980,9 @@ impl UmDriver {
             scopes.push(active);
         }
         let override_gate = path == EvictPath::Demand || active.is_some();
+        // Only the untenanted, unpartitioned LRU pass resumes at the
+        // scan floor; every other scan walks from the front.
+        let may_resume = self.untenanted() && self.hints.no_read_mostly();
         let mut freed = 0u64;
         for (first, end) in [(0, over_quota), (over_quota, scopes.len())] {
             for pass in [Pass::HostOom, Pass::Lru, Pass::Override] {
@@ -991,14 +1020,24 @@ impl UmDriver {
                         governor,
                         hints: Some(&self.hints),
                     };
+                    // The floor moves past each entry passed over at the
+                    // policy probe, up to the first that does anything
+                    // else.
+                    let floored = may_resume && pass == Pass::Lru;
+                    let start = if floored { self.lru.floor() } else { None };
+                    let mut floor = start;
+                    let mut advancing = floored;
                     // Only the LRU pass defers ReadMostly-duplicated
                     // blocks; host OOM wants the cheapest victims and
                     // the override wants correctness, in plain LRU order.
-                    for (key, block) in victim_scan(&self.lru, &self.hints, pass == Pass::Lru) {
+                    for (key, block) in
+                        victim_scan(&self.lru, &self.hints, pass == Pass::Lru, start)
+                    {
                         if freed >= needed || budget == 0 {
                             break;
                         }
                         if Some(block) == exclude || victims.iter().any(|v| v.block == block) {
+                            advancing = false;
                             continue;
                         }
                         // Policy first: it is a bitset probe, and most
@@ -1012,8 +1051,12 @@ impl UmDriver {
                         let cooling =
                             !eligible && pass == Pass::Lru && policy.skipped_for_cooldown(block);
                         if !eligible && !cooling {
+                            if advancing {
+                                floor = Some((key, block));
+                            }
                             continue;
                         }
+                        advancing = false;
                         let Some(state) = self.blocks.get(block) else {
                             return Err(BackendError::MissingBlock(block));
                         };
@@ -1054,6 +1097,9 @@ impl UmDriver {
                         });
                         freed += pages;
                         budget -= pages;
+                    }
+                    if floored {
+                        self.lru.set_floor(floor);
                     }
                 }
                 if freed >= needed {
@@ -1123,6 +1169,12 @@ impl UmDriver {
         victims.clear();
         self.scratch.victims = victims;
         Ok(cost)
+    }
+
+    /// True when no tenant is registered: the victim scan then has one
+    /// scope, judged by the driver's own protected set and governor.
+    fn untenanted(&self) -> bool {
+        self.tenancy.as_ref().is_none_or(|t| t.tenants.is_empty())
     }
 
     /// The tenant `charge` names when it is not the active one; `None`
@@ -1356,6 +1408,8 @@ impl UmDriver {
         if floor_pages > avail {
             return Err((floor_pages, avail));
         }
+        // Tenant scopes scan from the LRU front.
+        self.lru.clear_floor();
         let t = self.tenancy.get_or_insert_with(Tenancy::default);
         t.tenants.insert(
             tid,
@@ -1408,6 +1462,7 @@ impl UmDriver {
         if let Some(t) = self.tenancy.as_mut() {
             t.tenants.remove(&tid);
         }
+        self.lru.clear_floor();
     }
 
     /// Opens `tid`'s kernel slot: installs the tenant's governor,
@@ -1425,6 +1480,7 @@ impl UmDriver {
             return;
         };
         t.active = Some(tid);
+        self.lru.clear_floor();
         t.slot_c0 = c0;
         t.slot_foreign = Counters::new();
         std::mem::swap(&mut self.pressure, &mut ledger.governor);
@@ -1444,6 +1500,7 @@ impl UmDriver {
         let Some(prev) = t.active.take() else {
             return;
         };
+        self.lru.clear_floor();
         if let Some(ledger) = t.tenants.get_mut(&prev) {
             std::mem::swap(&mut self.pressure, &mut ledger.governor);
             std::mem::swap(&mut self.protected, &mut ledger.protected);
@@ -1523,6 +1580,7 @@ impl UmDriver {
     /// per-job driver moves into its ledger, and the slot swap installs
     /// it on the shared driver whenever the tenant runs.
     pub fn take_pressure_governor(&mut self) -> Option<PressureGovernor> {
+        self.lru.clear_floor();
         self.pressure.take()
     }
 
@@ -2269,6 +2327,29 @@ mod tests {
             .handle_faults(Ns::from_nanos(1), &faults_for(0, 0..512))
             .expect("faults handled");
         assert_eq!(c_p - c_h, map_cost * 512, "AccessedBy skips the map step");
+    }
+
+    #[test]
+    fn partial_release_drops_the_read_mostly_duplicate() {
+        let mut d = small_driver(2);
+        populate_host(&mut d, 0);
+        d.handle_faults(Ns::from_nanos(2), &faults_for(1, 0..512))
+            .expect("faults handled");
+        d.handle_faults(Ns::from_nanos(3), &faults_for(2, 0..512))
+            .expect("faults handled");
+        d.advise(Ns::from_nanos(4), block_range(0), Advice::ReadMostly);
+        d.handle_faults(Ns::from_nanos(5), &faults_for(0, 0..512))
+            .expect("faults handled");
+        // Freeing half the block drops its hint; the other half stays
+        // resident and loses its host duplicate.
+        d.release_range(ByteRange::new(UmAddr::new(0), BLOCK_SIZE as u64 / 2));
+        assert!(!d.hints().is_read_mostly(BlockNum::new(0)));
+        assert_eq!(d.resident_mask(BlockNum::new(0)).count(), 256);
+        assert!(d
+            .host_valid(BlockNum::new(0), &PageMask::first_n(512))
+            .is_empty());
+        d.validate()
+            .expect("no device page keeps a host copy unhinted");
     }
 
     #[test]

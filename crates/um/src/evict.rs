@@ -8,6 +8,8 @@
 //! it as the driver's *protected set* of blocks consulted at
 //! victim-selection time.
 
+use std::ops::Bound;
+
 use deepum_mem::{BlockNum, DenseBlockSet};
 use deepum_sim::time::Ns;
 
@@ -19,9 +21,18 @@ use crate::pressure::PressureGovernor;
 /// A `BTreeSet<(Ns, BlockNum)>` would also work; this type wraps it so
 /// re-keying on migration is a single call and the invariant (key matches
 /// the block's `last_migrated`) has one owner.
+///
+/// It also keeps the *scan floor*: an LRU key at or below which every
+/// entry is known to be first-pass ineligible for a reason other than
+/// cooldown (protected, PreferredLocation-hinted, or pinned). The
+/// untenanted protection-honouring scan resumes just past it instead of
+/// re-walking that prefix. The driver advances the floor as its scan
+/// passes entries over and clears it whenever one of them could become
+/// eligible; this type clears it when a key lands at or below it.
 #[derive(Debug, Default, Clone)]
 pub struct LruMigrated {
     order: std::collections::BTreeSet<(Ns, BlockNum)>,
+    floor: Option<(Ns, BlockNum)>,
 }
 
 impl LruMigrated {
@@ -35,6 +46,11 @@ impl LruMigrated {
         if let Some(prev) = previous {
             self.order.remove(&(prev, block));
         }
+        // Drain batches share a timestamp, so a new key can sort below
+        // an entry the scan already passed over.
+        if self.floor.is_some_and(|f| (at, block) <= f) {
+            self.floor = None;
+        }
         self.order.insert((at, block));
     }
 
@@ -46,6 +62,35 @@ impl LruMigrated {
     /// Blocks in least-recently-migrated-first order.
     pub fn iter(&self) -> impl Iterator<Item = (Ns, BlockNum)> + '_ {
         self.order.iter().copied()
+    }
+
+    /// Blocks keyed strictly after `start` (all of them for `None`), in
+    /// least-recently-migrated-first order.
+    pub fn iter_after(
+        &self,
+        start: Option<(Ns, BlockNum)>,
+    ) -> impl Iterator<Item = (Ns, BlockNum)> + '_ {
+        let lower = start.map_or(Bound::Unbounded, Bound::Excluded);
+        self.order.range((lower, Bound::Unbounded)).copied()
+    }
+
+    /// The scan floor: every entry keyed at or below it is first-pass
+    /// ineligible for a reason other than cooldown. `None` means the
+    /// scan starts at the LRU front.
+    pub(crate) fn floor(&self) -> Option<(Ns, BlockNum)> {
+        self.floor
+    }
+
+    /// Moves the scan floor; the caller vouches for every entry at or
+    /// below `floor`.
+    pub(crate) fn set_floor(&mut self, floor: Option<(Ns, BlockNum)>) {
+        self.floor = floor;
+    }
+
+    /// Forgets the scan floor: some entry below it may have become
+    /// eligible.
+    pub(crate) fn clear_floor(&mut self) {
+        self.floor = None;
     }
 
     /// Number of tracked blocks.
@@ -144,17 +189,21 @@ impl VictimPolicy<'_> {
 /// prefix that is almost never consumed. In plain LRU order the first
 /// filter passes everything and the tail is cut to nothing, so the LRU
 /// is walked once.
+///
+/// Both partitions start strictly after `start` (`None`: the LRU
+/// front); the driver passes its scan floor here.
 pub fn victim_scan<'a>(
     lru: &'a LruMigrated,
     hints: &'a HintTable,
     partition: bool,
+    start: Option<(Ns, BlockNum)>,
 ) -> impl Iterator<Item = (Ns, BlockNum)> + 'a {
     let plain = !partition || hints.no_read_mostly();
     let tail = if plain { 0 } else { usize::MAX };
-    lru.iter()
+    lru.iter_after(start)
         .filter(move |e| plain || !hints.is_read_mostly(e.1))
         .chain(
-            lru.iter()
+            lru.iter_after(start)
                 .take(tail)
                 .filter(move |e| hints.is_read_mostly(e.1)),
         )
@@ -267,7 +316,7 @@ mod tests {
         }
         // No hints: the scan is exactly the LRU order.
         let plain = HintTable::new();
-        let scanned: Vec<_> = victim_scan(&lru, &plain, true).collect();
+        let scanned: Vec<_> = victim_scan(&lru, &plain, true, None).collect();
         assert_eq!(scanned, lru.iter().collect::<Vec<_>>());
         // ReadMostly blocks partition to the back, each half LRU-ordered.
         let mut hints = HintTable::new();
@@ -277,12 +326,73 @@ mod tests {
         let mut eager: Vec<(Ns, BlockNum)> = Vec::new();
         eager.extend(lru.iter().filter(|e| !hints.is_read_mostly(e.1)));
         eager.extend(lru.iter().filter(|e| hints.is_read_mostly(e.1)));
-        let lazy: Vec<_> = victim_scan(&lru, &hints, true).collect();
+        let lazy: Vec<_> = victim_scan(&lru, &hints, true, None).collect();
         assert_eq!(lazy, eager);
         assert_eq!(lazy.len(), lru.len());
         // Unpartitioned, the scan is the LRU order whatever the hints.
-        let unpartitioned: Vec<_> = victim_scan(&lru, &hints, false).collect();
+        let unpartitioned: Vec<_> = victim_scan(&lru, &hints, false, None).collect();
         assert_eq!(unpartitioned, lru.iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn victim_scan_starts_after_the_given_key() {
+        use crate::hints::{Advice, HintTable};
+        let mut lru = LruMigrated::new();
+        for i in 0..8u64 {
+            lru.record_migration(BlockNum::new(i), None, Ns::from_nanos(10 + i));
+        }
+        let start = Some((Ns::from_nanos(12), BlockNum::new(2)));
+        let blocks = |scan: Vec<(Ns, BlockNum)>| -> Vec<u64> {
+            scan.into_iter().map(|(_, b)| b.index()).collect()
+        };
+        let plain = HintTable::new();
+        assert_eq!(
+            blocks(victim_scan(&lru, &plain, true, start).collect()),
+            vec![3, 4, 5, 6, 7]
+        );
+        // A start key that is no longer in the ordering still bounds
+        // the walk by key.
+        lru.remove(BlockNum::new(2), Ns::from_nanos(12));
+        assert_eq!(
+            blocks(victim_scan(&lru, &plain, false, start).collect()),
+            vec![3, 4, 5, 6, 7]
+        );
+        // Both ReadMostly partitions honour the start.
+        let mut hints = HintTable::new();
+        hints.advise(BlockNum::new(1), Advice::ReadMostly);
+        hints.advise(BlockNum::new(4), Advice::ReadMostly);
+        assert_eq!(
+            blocks(victim_scan(&lru, &hints, true, start).collect()),
+            vec![3, 5, 6, 7, 4]
+        );
+    }
+
+    #[test]
+    fn insert_at_or_below_the_floor_clears_it() {
+        let mut lru = LruMigrated::new();
+        for i in 0..4u64 {
+            lru.record_migration(BlockNum::new(i), None, Ns::from_nanos(10));
+        }
+        let floor = Some((Ns::from_nanos(10), BlockNum::new(2)));
+        lru.set_floor(floor);
+        // A later key keeps the floor, and so does removing the entry
+        // the floor names.
+        lru.record_migration(BlockNum::new(9), None, Ns::from_nanos(11));
+        lru.remove(BlockNum::new(2), Ns::from_nanos(10));
+        assert_eq!(lru.floor(), floor);
+        // Same drain timestamp, lower block number: below the floor.
+        lru.record_migration(
+            BlockNum::new(1),
+            Some(Ns::from_nanos(10)),
+            Ns::from_nanos(10),
+        );
+        assert_eq!(lru.floor(), None);
+        lru.set_floor(floor);
+        lru.record_migration(BlockNum::new(2), None, Ns::from_nanos(10));
+        assert_eq!(lru.floor(), None, "a key equal to the floor clears it");
+        lru.set_floor(floor);
+        lru.record_migration(BlockNum::new(5), None, Ns::from_nanos(10));
+        assert_eq!(lru.floor(), floor, "same timestamp, higher block keeps it");
     }
 
     #[test]

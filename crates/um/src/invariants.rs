@@ -138,6 +138,32 @@ pub(crate) fn validate(d: &UmDriver) -> Result<(), String> {
             }
         }
     }
+    // Scan-floor invariant: the untenanted LRU pass skips every entry
+    // at or below the floor, which is sound only while each of them is
+    // first-pass ineligible for a reason the scan would pass over with
+    // no side effect (not a traced cooldown skip). Tenant scopes always
+    // scan from the front, so a registered tenant leaves no floor.
+    if let Some(floor) = d.lru.floor() {
+        let (floor_key, floor_block) = floor;
+        if d.tenancy.as_ref().is_some_and(|t| !t.tenants.is_empty()) {
+            return Err(format!(
+                "scan floor ({floor_block} at {floor_key}) set while a tenant is registered"
+            ));
+        }
+        let policy = VictimPolicy {
+            protected: &d.protected,
+            governor: d.pressure.as_ref(),
+            hints: Some(&d.hints),
+        };
+        for (key, block) in d.lru.iter().take_while(|&e| e <= floor) {
+            if policy.first_pass_eligible(block) || policy.skipped_for_cooldown(block) {
+                return Err(format!(
+                    "{block} (LRU key {key}) is at or below the scan floor ({floor_block} \
+                     at {floor_key}) but the first eviction pass would not pass it over"
+                ));
+            }
+        }
+    }
     // Hint-ordering invariant: the first-pass candidate list must
     // be partitioned — no ReadMostly-duplicated block may be
     // ordered before a non-duplicated one, i.e. a duplicated hot

@@ -36,6 +36,9 @@ pub mod table;
 pub mod tenancy;
 pub mod wear;
 
+#[cfg(test)]
+mod scan_floor_tests;
+
 pub use block::BlockState;
 pub use driver::{EvictCost, MigratePath, UmDriver};
 pub use hints::{Advice, HintTable};

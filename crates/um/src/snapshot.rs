@@ -168,11 +168,6 @@ impl SnapshotWriter {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Payload bytes written so far (header excluded).
-    pub fn payload_len(&self) -> usize {
-        self.buf.len().saturating_sub(HEADER_LEN)
-    }
-
     /// Seals the envelope: computes the checksum over everything written
     /// and appends it as the trailer.
     pub fn finish(mut self) -> Vec<u8> {
