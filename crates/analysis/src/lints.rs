@@ -193,7 +193,9 @@ const RESULT_PATTERNS: &[&str] = &["let _ =", "let _=", ".ok()", ".unwrap_or_def
 /// map and the checkpoint ring — retirement sampling consults the wear
 /// map on every fault drain, and the ring's store runs inside the
 /// checkpoint cadence — and the prefetching thread's chain walk and
-/// footprint table, which run once per chain emission. The committed baseline
+/// footprint table, which run once per chain emission. The per-stripe
+/// lookups under all of them (the stripe map, the block bitsets and the
+/// block-state table) run once per probe. The committed baseline
 /// (`ci/tidy-baseline.json`) grandfathers today's counts; the lint is
 /// the scoreboard that only lets them fall.
 const HOT_PATH_FILES: &[&str] = &[
@@ -205,6 +207,9 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/ckpt.rs",
     "crates/core/src/chain.rs",
     "crates/core/src/footprint.rs",
+    "crates/mem/src/stripe.rs",
+    "crates/mem/src/bitmap.rs",
+    "crates/um/src/table.rs",
 ];
 
 /// Allocation patterns for `hot-path-alloc`. `.collect` (no parens)

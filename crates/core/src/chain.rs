@@ -16,13 +16,13 @@
 
 use std::collections::VecDeque;
 
+use deepum_mem::stripe::{join, split, StripeMap};
 use deepum_mem::BlockNum;
 use deepum_runtime::exec_table::ExecId;
 use deepum_um::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
 use crate::correlation::{BlockCorrelationTable, ExecCorrelationTable};
 use crate::queues::PrefetchCommand;
-use crate::stripe::{join, split, Stripes};
 
 /// Outcome of one chaining step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +53,7 @@ pub enum ChainStep {
 /// the epoch and keeps the arrays.
 #[derive(Debug, Clone)]
 struct VisitedSet {
-    stamps: Stripes<Vec<u32>>,
+    stamps: StripeMap<Vec<u32>>,
     /// Stamp of the current contents; never 0, the stamp of an offset
     /// no walk has met.
     epoch: u32,
@@ -63,7 +63,7 @@ struct VisitedSet {
 impl VisitedSet {
     fn new() -> Self {
         VisitedSet {
-            stamps: Stripes::default(),
+            stamps: StripeMap::default(),
             epoch: 1,
             len: 0,
         }
@@ -658,7 +658,7 @@ mod more_tests {
 /// like a walk built from scratch at every restart.
 #[cfg(test)]
 mod restart_tests {
-    use deepum_mem::bitmap::STRIPE_BLOCK_SHIFT;
+    use deepum_mem::stripe::STRIPE_BLOCK_SHIFT;
     use deepum_sim::rng::DetRng;
 
     use super::*;

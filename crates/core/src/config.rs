@@ -1,5 +1,6 @@
 //! DeepUM configuration knobs.
 
+use deepum_um::pressure::PressureConfig;
 use serde::{Deserialize, Serialize};
 
 /// Tunable parameters of the DeepUM driver.
@@ -38,17 +39,12 @@ pub struct DeepumConfig {
     /// many kernels per operator), so the default is correspondingly
     /// larger than the paper's sweet spot of 32.
     pub prefetch_degree: usize,
-    /// Capacity of the prefetch command queue.
-    pub prefetch_queue_capacity: usize,
     /// Correlation prefetching on/off (Fig. 10 ablation).
     pub enable_prefetch: bool,
     /// Page pre-eviction on/off (Section 5.1, Fig. 10 ablation).
     pub enable_preevict: bool,
     /// Inactive-PT-block invalidation on/off (Section 5.2, Fig. 10).
     pub enable_invalidate: bool,
-    /// Pre-eviction keeps at least this many UM blocks of device memory
-    /// free so demand faults find room without critical-path eviction.
-    pub preevict_headroom_blocks: u64,
     /// Prefetch-accuracy watchdog on/off. Off by default: the watchdog
     /// only changes behaviour when mispredictions are rampant, which in
     /// this simulation means chaos-injection runs.
@@ -70,25 +66,10 @@ pub struct DeepumConfig {
     /// normal runs never hit it — it is a safety valve against
     /// pathological chain churn, not a tuning knob.
     pub predicted_window_capacity: usize,
-    /// Memory-pressure governor on/off. Off by default: governed runs
-    /// change eviction order, so the toggle keeps untouched runs
+    /// Memory-pressure governor, off (`None`) by default: governed runs
+    /// change eviction order, so leaving it off keeps untouched runs
     /// byte-identical to pre-governor builds.
-    pub enable_pressure_governor: bool,
-    /// Kernel launches within which an evicted-then-demand-refaulted
-    /// block counts as a refault (ping-pong).
-    pub pressure_refault_window: u64,
-    /// Kernel launches a refaulted block stays out of first-pass victim
-    /// selection.
-    pub pressure_cooldown_kernels: u64,
-    /// EWMA refault score (integer percent) at which pressure is
-    /// classified `Elevated`.
-    pub pressure_elevated_pct: u64,
-    /// EWMA refault score (integer percent) at which pressure is
-    /// classified `Thrashing` and the prefetch window starts shrinking.
-    pub pressure_thrashing_pct: u64,
-    /// EWMA weight shift: each kernel's refault-ratio sample carries
-    /// weight `1 / 2^shift`.
-    pub pressure_ewma_shift: u32,
+    pub pressure: Option<PressureConfig>,
 }
 
 impl DeepumConfig {
@@ -159,11 +140,13 @@ impl DeepumConfig {
         elevated_pct: u64,
         thrashing_pct: u64,
     ) -> Self {
-        self.enable_pressure_governor = true;
-        self.pressure_refault_window = refault_window;
-        self.pressure_cooldown_kernels = cooldown_kernels;
-        self.pressure_elevated_pct = elevated_pct;
-        self.pressure_thrashing_pct = thrashing_pct;
+        self.pressure = Some(PressureConfig {
+            refault_window,
+            cooldown_kernels,
+            elevated_pct,
+            thrashing_pct,
+            ..PressureConfig::default()
+        });
         self
     }
 }
@@ -175,23 +158,16 @@ impl Default for DeepumConfig {
             block_table_assoc: 2,
             block_table_succs: 4,
             prefetch_degree: 256,
-            prefetch_queue_capacity: 8192,
             enable_prefetch: true,
             enable_preevict: true,
             enable_invalidate: true,
-            preevict_headroom_blocks: 8,
             enable_watchdog: false,
             watchdog_window_kernels: 8,
             watchdog_throttle_pct: 50,
             watchdog_disable_pct: 90,
             watchdog_cooldown_kernels: 16,
             predicted_window_capacity: 1 << 20,
-            enable_pressure_governor: false,
-            pressure_refault_window: 8,
-            pressure_cooldown_kernels: 4,
-            pressure_elevated_pct: 15,
-            pressure_thrashing_pct: 35,
-            pressure_ewma_shift: 2,
+            pressure: None,
         }
     }
 }
@@ -231,13 +207,18 @@ mod tests {
 
     #[test]
     fn pressure_governor_defaults_off_and_builder_enables() {
-        assert!(!DeepumConfig::default().enable_pressure_governor);
+        assert!(DeepumConfig::default().pressure.is_none());
         let c = DeepumConfig::default().with_pressure_governor(4, 2, 10, 25);
-        assert!(c.enable_pressure_governor);
-        assert_eq!(c.pressure_refault_window, 4);
-        assert_eq!(c.pressure_cooldown_kernels, 2);
-        assert_eq!(c.pressure_elevated_pct, 10);
-        assert_eq!(c.pressure_thrashing_pct, 25);
+        assert_eq!(
+            c.pressure,
+            Some(PressureConfig {
+                refault_window: 4,
+                cooldown_kernels: 2,
+                ewma_shift: PressureConfig::default().ewma_shift,
+                elevated_pct: 10,
+                thrashing_pct: 25,
+            })
+        );
     }
 
     #[test]

@@ -34,7 +34,6 @@ use deepum_sim::time::Ns;
 use deepum_trace::{InjectKind, PressureLevel, SharedTracer, TraceEvent, WatchdogMode};
 use deepum_um::driver::UmDriver;
 use deepum_um::hints::Advice;
-use deepum_um::pressure::PressureConfig;
 use deepum_um::scratch::group_faults_into;
 
 use crate::chain::{ChainStep, ChainWalk};
@@ -46,6 +45,13 @@ use crate::watchdog::PrefetchWatchdog;
 
 /// Sentinel for "no kernel yet" in execution history.
 const NO_EXEC: ExecId = ExecId(u32::MAX);
+
+/// Capacity of the prefetch command queue.
+const PREFETCH_QUEUE_CAPACITY: usize = 8192;
+
+/// Pre-eviction keeps at least this many UM blocks of device memory free
+/// so demand faults find room without critical-path eviction.
+const PREEVICT_HEADROOM_BLOCKS: u64 = 8;
 
 /// Emits one trace event when a tracer is installed. Free function (not
 /// a method) so emit sites inside loops that hold field borrows (the
@@ -159,16 +165,10 @@ impl DeepumDriver {
     /// described by `costs`.
     pub fn new(costs: CostModel, cfg: DeepumConfig) -> Self {
         let mut um = UmDriver::new(costs.clone());
-        if cfg.enable_pressure_governor {
-            um.install_pressure_governor(PressureConfig {
-                refault_window: cfg.pressure_refault_window,
-                cooldown_kernels: cfg.pressure_cooldown_kernels,
-                ewma_shift: cfg.pressure_ewma_shift,
-                elevated_pct: cfg.pressure_elevated_pct,
-                thrashing_pct: cfg.pressure_thrashing_pct,
-            });
+        if let Some(pressure) = cfg.pressure {
+            um.install_pressure_governor(pressure);
         }
-        let prefetch_q = SpscQueue::new(cfg.prefetch_queue_capacity);
+        let prefetch_q = SpscQueue::new(PREFETCH_QUEUE_CAPACITY);
         let watchdog = if cfg.enable_watchdog {
             Some(PrefetchWatchdog::new(
                 cfg.watchdog_window_kernels,
@@ -499,7 +499,7 @@ impl DeepumDriver {
             // for eviction on the critical path. The protected set (blocks
             // predicted for the current + next N kernels) steers victim
             // selection; pre-eviction never touches protected blocks.
-            let headroom = (self.cfg.preevict_headroom_blocks * PAGES_PER_BLOCK as u64)
+            let headroom = (PREEVICT_HEADROOM_BLOCKS * PAGES_PER_BLOCK as u64)
                 .min(self.um.capacity_pages() / 4);
             let evict = self.um.preevict(now, needed + headroom);
             d2h += evict.writeback;
@@ -653,7 +653,7 @@ impl LaunchObserver for DeepumDriver {
         // per kernel under `Normal`, hold under `Elevated` (the
         // classification hysteresis lives in the governor; this ladder
         // only follows it).
-        if self.cfg.enable_pressure_governor {
+        if self.cfg.pressure.is_some() {
             let level = self.um.pressure_level();
             let old = self.pressure_shrink;
             let new = match level {

@@ -9,16 +9,17 @@
 //!
 //! The prefetching thread reads a footprint for every block the chain
 //! walk emits, millions of times per run, so the map is a dense table:
-//! one offset-indexed mask array per VA stripe (see [`crate::stripe`])
-//! plus a presence bit per offset. A lookup is an index, not a tree
-//! walk. The presence bits keep "recorded but empty" distinct from
-//! "never recorded", so [`FootprintMap::len`] and the checkpoint
-//! encoding count exactly the blocks a `BTreeMap` would have held.
+//! one offset-indexed mask array per VA stripe (see
+//! [`deepum_mem::stripe`]) plus a presence bit per offset, in the same
+//! stripe entry so a lookup or record searches the stripes once. A
+//! lookup is an index, not a tree walk. The presence bits keep
+//! "recorded but empty" distinct from "never recorded", so
+//! [`FootprintMap::len`] and the checkpoint encoding count exactly the
+//! blocks a `BTreeMap` would have held.
 
+use deepum_mem::stripe::{join, split, OffsetBits, StripeMap};
 use deepum_mem::{BlockNum, PageMask};
 use deepum_um::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
-
-use crate::stripe::{join, split, Stripes};
 
 /// Fixed per-map bytes that Table 4 accounting charges on top of the
 /// per-entry cost. It is the model's figure for the map header (the
@@ -46,7 +47,7 @@ const ENTRY_BYTES: usize = core::mem::size_of::<BlockNum>() + core::mem::size_of
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct FootprintMap {
-    stripes: Stripes<MaskStripe>,
+    stripes: StripeMap<MaskStripe>,
     /// Number of present blocks across all stripes.
     len: usize,
 }
@@ -57,49 +58,17 @@ pub struct FootprintMap {
 #[derive(Debug, Default, Clone)]
 struct MaskStripe {
     masks: Vec<PageMask>,
-    /// One presence bit per offset.
-    present: Vec<u64>,
-}
-
-/// Splits an offset into (presence word index, bit).
-#[inline]
-fn presence_slot(offset: usize) -> (usize, u64) {
-    (offset >> 6, 1u64 << (offset & 63))
+    present: OffsetBits,
 }
 
 impl MaskStripe {
-    #[inline]
-    fn is_present(&self, offset: usize) -> bool {
-        let (word, bit) = presence_slot(offset);
-        self.present.get(word).is_some_and(|w| w & bit != 0)
-    }
-
-    /// Marks `offset` present, growing the arrays to cover it; true if
+    /// Marks `offset` present, growing the masks to cover it; true if
     /// it was absent.
     fn insert(&mut self, offset: usize) -> bool {
         if self.masks.len() <= offset {
             self.masks.resize(offset + 1, PageMask::empty());
         }
-        let (word, bit) = presence_slot(offset);
-        if self.present.len() <= word {
-            self.present.resize(word + 1, 0);
-        }
-        let fresh = self.present[word] & bit == 0;
-        self.present[word] |= bit;
-        fresh
-    }
-
-    /// Present offsets, ascending.
-    fn offsets(&self) -> impl Iterator<Item = usize> + '_ {
-        self.present
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| **w != 0)
-            .flat_map(|(wi, &w)| {
-                (0..64)
-                    .filter(move |bit| w & (1u64 << bit) != 0)
-                    .map(move |bit| wi * 64 + bit)
-            })
+        self.present.insert(offset)
     }
 }
 
@@ -136,13 +105,10 @@ impl FootprintMap {
         let Some(stripe) = self.stripes.get_mut(id) else {
             return;
         };
-        if !stripe.is_present(offset) {
-            return;
+        if stripe.present.remove(offset) {
+            stripe.masks[offset] = PageMask::empty();
+            self.len -= 1;
         }
-        let (word, bit) = presence_slot(offset);
-        stripe.present[word] &= !bit;
-        stripe.masks[offset] = PageMask::empty();
-        self.len -= 1;
     }
 
     /// Number of tracked blocks.
@@ -159,7 +125,8 @@ impl FootprintMap {
     fn iter(&self) -> impl Iterator<Item = (BlockNum, &PageMask)> + '_ {
         self.stripes.iter().flat_map(|(id, stripe)| {
             stripe
-                .offsets()
+                .present
+                .iter()
                 .map(move |offset| (join(id, offset), &stripe.masks[offset]))
         })
     }
@@ -206,7 +173,7 @@ impl FootprintMap {
 mod tests {
     use std::collections::BTreeMap;
 
-    use deepum_mem::bitmap::STRIPE_BLOCK_SHIFT;
+    use deepum_mem::stripe::STRIPE_BLOCK_SHIFT;
     use deepum_sim::rng::DetRng;
 
     use super::*;

@@ -36,7 +36,6 @@ pub mod driver;
 pub mod footprint;
 pub mod queues;
 pub mod recovery;
-mod stripe;
 pub mod watchdog;
 
 pub use config::DeepumConfig;

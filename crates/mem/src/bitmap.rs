@@ -1,15 +1,17 @@
-//! Fixed-size 512-bit page mask.
+//! Word bitsets over pages and blocks.
 //!
 //! A UM block contains up to 512 pages; the driver tracks per-block page
 //! residency and kernels' per-block access footprints with one bit per
 //! page. [`PageMask`] packs those 512 bits into eight `u64` words.
+//! [`DenseBlockSet`] is a set of blocks, one bitset per VA stripe.
 
 use core::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use crate::addr::BlockNum;
-use crate::{u64_from_usize, PAGES_PER_BLOCK};
+use crate::stripe::{join, split, OffsetBits, StripeMap};
+use crate::PAGES_PER_BLOCK;
 
 const WORDS: usize = PAGES_PER_BLOCK / 64;
 
@@ -210,11 +212,7 @@ impl PageMask {
 
     /// Iterator over the indices of set bits, ascending.
     pub fn iter_ones(&self) -> IterOnes<'_> {
-        IterOnes {
-            mask: self,
-            word: 0,
-            bits: self.words[0],
-        }
+        IterOnes::new(&self.words)
     }
 }
 
@@ -230,13 +228,24 @@ impl fmt::Debug for PageMask {
     }
 }
 
-/// Iterator over set-bit indices of a [`PageMask`], produced by
-/// [`PageMask::iter_ones`].
+/// Iterator over the set-bit indices of a word bitset, ascending: a
+/// trailing-zero scan, one word at a time. Produced by
+/// [`PageMask::iter_ones`] and [`OffsetBits::iter`].
 #[derive(Debug, Clone)]
 pub struct IterOnes<'a> {
-    mask: &'a PageMask,
+    words: &'a [u64],
     word: usize,
     bits: u64,
+}
+
+impl<'a> IterOnes<'a> {
+    pub(crate) fn new(words: &'a [u64]) -> Self {
+        IterOnes {
+            words,
+            word: 0,
+            bits: words.first().copied().unwrap_or(0),
+        }
+    }
 }
 
 impl Iterator for IterOnes<'_> {
@@ -251,52 +260,23 @@ impl Iterator for IterOnes<'_> {
                 return Some(self.word * 64 + tz);
             }
             self.word += 1;
-            if self.word >= WORDS {
-                return None;
-            }
-            self.bits = self.mask.words[self.word];
+            self.bits = *self.words.get(self.word)?;
         }
     }
 }
 
-/// Blocks per tenant VA stripe: stripes are 2^40 bytes apart, so their
-/// block indices differ in bits 19 and above (2^40 / 2 MiB = 2^19).
-/// Shared with the stripe-keyed block table in `deepum-um`.
-pub const STRIPE_BLOCK_SHIFT: u32 = 19;
-/// Mask selecting a block's offset within its VA stripe.
-pub const STRIPE_BLOCK_MASK: u64 = (1 << STRIPE_BLOCK_SHIFT) - 1;
-
-/// A dense, growable set of [`BlockNum`]s, keyed by VA stripe.
+/// A dense, growable set of [`BlockNum`]s: one [`OffsetBits`] per
+/// touched VA stripe (see [`crate::stripe`]).
 ///
-/// Block indices are *almost* dense: within a tenant's VA stripe the
-/// allocator hands out blocks from a small bump range, but stripes sit
-/// 2^40 bytes apart, so a single flat bitset over raw indices would be
-/// astronomically sparse. `DenseBlockSet` keeps one lazily grown bitset
-/// per touched stripe (a sorted, tiny list — one entry per tenant) and
-/// offers O(1) insert/remove/contains with ascending iteration, making
-/// it a drop-in replacement for the `BTreeSet<BlockNum>`s on the
-/// migration and eviction hot paths.
+/// Insert/remove/contains are one stripe search plus a word index and a
+/// mask, and iteration is in ascending order, making it a drop-in
+/// replacement for the `BTreeSet<BlockNum>`s on the migration and
+/// eviction hot paths.
 #[derive(Debug, Default, Clone)]
 pub struct DenseBlockSet {
-    /// Per-stripe bitsets, sorted by stripe id.
-    stripes: Vec<StripeBits>,
-    /// Total set bits across all stripes.
+    stripes: StripeMap<OffsetBits>,
+    /// Total members across all stripes.
     len: usize,
-}
-
-#[derive(Debug, Clone)]
-struct StripeBits {
-    id: u64,
-    words: Vec<u64>,
-}
-
-impl StripeBits {
-    /// Splits a within-stripe block offset into (word index, bit mask).
-    #[inline]
-    fn slot(offset: u64) -> (usize, u64) {
-        let word = usize::try_from(offset >> 6).unwrap_or(usize::MAX);
-        (word, 1u64 << (offset & 63))
-    }
 }
 
 impl DenseBlockSet {
@@ -305,85 +285,37 @@ impl DenseBlockSet {
         DenseBlockSet::default()
     }
 
-    #[inline]
-    fn split(block: BlockNum) -> (u64, u64) {
-        let idx = block.index();
-        (idx >> STRIPE_BLOCK_SHIFT, idx & STRIPE_BLOCK_MASK)
-    }
-
-    #[inline]
-    fn stripe(&self, id: u64) -> Option<&StripeBits> {
-        match self.stripes.binary_search_by_key(&id, |s| s.id) {
-            Ok(i) => Some(&self.stripes[i]),
-            Err(_) => None,
-        }
-    }
-
-    #[inline]
-    fn stripe_mut(&mut self, id: u64) -> &mut StripeBits {
-        let i = match self.stripes.binary_search_by_key(&id, |s| s.id) {
-            Ok(i) => i,
-            Err(i) => {
-                self.stripes.insert(
-                    i,
-                    StripeBits {
-                        id,
-                        words: Vec::new(),
-                    },
-                );
-                i
-            }
-        };
-        &mut self.stripes[i]
-    }
-
     /// Inserts `block`; true if it was not already present.
     pub fn insert(&mut self, block: BlockNum) -> bool {
-        let (id, offset) = Self::split(block);
-        let (word, bit) = StripeBits::slot(offset);
-        let stripe = self.stripe_mut(id);
-        if stripe.words.len() <= word {
-            stripe.words.resize(word + 1, 0);
-        }
-        let fresh = stripe.words[word] & bit == 0;
-        stripe.words[word] |= bit;
-        if fresh {
-            self.len += 1;
-        }
+        let (id, offset) = split(block);
+        let fresh = self.stripes.entry(id).insert(offset);
+        self.len += usize::from(fresh);
         fresh
     }
 
     /// Removes `block`; true if it was present.
     pub fn remove(&mut self, block: BlockNum) -> bool {
-        let (id, offset) = Self::split(block);
-        let (word, bit) = StripeBits::slot(offset);
-        let Ok(i) = self.stripes.binary_search_by_key(&id, |s| s.id) else {
-            return false;
-        };
-        let words = &mut self.stripes[i].words;
-        if word >= words.len() || words[word] & bit == 0 {
-            return false;
-        }
-        words[word] &= !bit;
-        self.len -= 1;
-        true
+        let (id, offset) = split(block);
+        let removed = self
+            .stripes
+            .get_mut(id)
+            .is_some_and(|bits| bits.remove(offset));
+        self.len -= usize::from(removed);
+        removed
     }
 
     /// True if `block` is in the set.
     #[inline]
     pub fn contains(&self, block: BlockNum) -> bool {
-        let (id, offset) = Self::split(block);
-        let (word, bit) = StripeBits::slot(offset);
-        self.stripe(id)
-            .and_then(|s| s.words.get(word))
-            .is_some_and(|w| w & bit != 0)
+        let (id, offset) = split(block);
+        self.stripes
+            .get(id)
+            .is_some_and(|bits| bits.contains(offset))
     }
 
     /// Removes every block, keeping the word storage for reuse.
     pub fn clear(&mut self) {
-        for stripe in &mut self.stripes {
-            stripe.words.iter_mut().for_each(|w| *w = 0);
-        }
+        self.stripes.values_mut().for_each(OffsetBits::clear);
         self.len = 0;
     }
 
@@ -401,23 +333,9 @@ impl DenseBlockSet {
 
     /// Iterator over the blocks in ascending [`BlockNum`] order.
     pub fn iter(&self) -> impl Iterator<Item = BlockNum> + '_ {
-        self.stripes.iter().flat_map(|stripe| {
-            let base = stripe.id << STRIPE_BLOCK_SHIFT;
-            stripe
-                .words
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| **w != 0)
-                .flat_map(move |(wi, w)| {
-                    let word_base = base + (u64_from_usize(wi) << 6);
-                    BitIndices(*w).map(move |bit| BlockNum::new(word_base + bit))
-                })
-        })
-    }
-
-    /// The blocks in ascending order, collected.
-    pub fn to_vec(&self) -> Vec<BlockNum> {
-        self.iter().collect()
+        self.stripes
+            .iter()
+            .flat_map(|(id, bits)| bits.iter().map(move |offset| join(id, offset)))
     }
 }
 
@@ -428,23 +346,6 @@ impl FromIterator<BlockNum> for DenseBlockSet {
             set.insert(block);
         }
         set
-    }
-}
-
-/// Iterator over the set-bit positions of one `u64`, ascending.
-#[derive(Debug, Clone)]
-struct BitIndices(u64);
-
-impl Iterator for BitIndices {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        if self.0 == 0 {
-            return None;
-        }
-        let tz = u64::from(self.0.trailing_zeros());
-        self.0 &= self.0 - 1;
-        Some(tz)
     }
 }
 
@@ -571,7 +472,7 @@ mod tests {
         let s: DenseBlockSet = blocks.iter().map(|&b| BlockNum::new(b)).collect();
         let got: Vec<u64> = s.iter().map(BlockNum::index).collect();
         assert_eq!(got, vec![0, 5, 63, 64, 1 << 19, (1 << 19) + 70]);
-        assert_eq!(s.to_vec().len(), s.len());
+        assert_eq!(s.iter().count(), s.len());
     }
 
     #[test]
@@ -584,6 +485,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.iter().count(), 0);
         assert!(s.insert(BlockNum::new(42)));
-        assert_eq!(s.to_vec(), vec![BlockNum::new(42)]);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![BlockNum::new(42)]);
     }
 }

@@ -10,8 +10,9 @@
 //!   granularity (Sections 2.3 and 4.2 of the paper).
 //!
 //! This crate provides the strongly typed addresses ([`UmAddr`],
-//! [`PageNum`], [`BlockNum`]), byte/page/block ranges, and the 512-bit
-//! [`PageMask`] used for per-block residency and access footprints.
+//! [`PageNum`], [`BlockNum`]), byte/page/block ranges, the 512-bit
+//! [`PageMask`] used for per-block residency and access footprints, and
+//! the VA-stripe layout ([`stripe`]) every per-block table keys on.
 //!
 //! # Example
 //!
@@ -28,6 +29,7 @@
 pub mod addr;
 pub mod bitmap;
 pub mod range;
+pub mod stripe;
 
 pub use addr::{BlockNum, PageNum, UmAddr};
 pub use bitmap::{DenseBlockSet, PageMask};

@@ -17,6 +17,7 @@
 use deepum_baselines::executor::um::{UmRunConfig, UmStepper};
 use deepum_baselines::report::RunError;
 use deepum_core::driver::DeepumDriver;
+use deepum_mem::stripe::tenant_va_base;
 use deepum_mem::TenantId;
 use deepum_sim::costs::CostModel;
 use deepum_sim::faultinject::SharedInjector;
@@ -29,11 +30,6 @@ use deepum_trace::{shared, SharedTracer, Tracer};
 pub use deepum_baselines::executor::um::StepOutcome;
 
 use crate::spec::TenantSpec;
-
-/// Each tenant's UM allocations live in a disjoint 1 TiB region of the
-/// shared driver's virtual address space, so block numbers never
-/// collide across tenants.
-const VA_STRIDE: u64 = 1 << 40;
 
 /// One tenant's private execution stack.
 pub struct TenantRun {
@@ -67,7 +63,7 @@ impl TenantRun {
             checkpoint_every: None,
             tracer: spec.traced.then(|| shared(Tracer::export())),
         };
-        let run = UmStepper::new(&mut driver, cfg, u64::from(tid.raw()) * VA_STRIDE);
+        let run = UmStepper::new(&mut driver, cfg, tenant_va_base(tid));
         TenantRun {
             spec,
             tid,

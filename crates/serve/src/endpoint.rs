@@ -14,6 +14,7 @@ use deepum_core::driver::DeepumDriver;
 use deepum_gpu::engine::{BackendError, EngineError, GpuEngine, UmBackend};
 use deepum_gpu::fault::AccessKind;
 use deepum_gpu::kernel::{BlockAccess, KernelLaunch};
+use deepum_mem::stripe::tenant_va_base;
 use deepum_mem::{ByteRange, TenantId};
 use deepum_runtime::interpose::CudaRuntime;
 use deepum_sim::clock::SimClock;
@@ -26,11 +27,6 @@ use deepum_torch::alloc::{AllocError, CachingAllocator, PtBlockId, PtEvent};
 use deepum_torch::perf::PerfModel;
 use deepum_trace::{shared, ServeLevel, SharedTracer, ShedReason, TraceEvent, Tracer};
 use deepum_um::hints::Advice;
-
-/// Each endpoint's UM allocations live in a disjoint 1 TiB region of
-/// the shared driver's virtual address space (the scheduler tenants'
-/// stride, reused so endpoints and training tenants co-exist).
-const VA_STRIDE: u64 = 1 << 40;
 
 /// What serving one request produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,7 +102,7 @@ impl EndpointRun {
         let mut driver = DeepumDriver::new(costs.clone(), spec.config.clone());
         let runtime = CudaRuntime::with_va_base(
             costs.host_memory_bytes,
-            u64::from(tid.raw()) * VA_STRIDE,
+            tenant_va_base(tid),
             costs.launch_intercept_cost,
         );
         let mut engine = GpuEngine::new();

@@ -2573,7 +2573,10 @@ mod tests {
         d.validate().expect("driver validates between slots");
 
         d.set_active_tenant(a, Ns::from_nanos(6));
-        assert_eq!(d.protected().to_vec(), vec![BlockNum::new(0)]);
+        assert_eq!(
+            d.protected().iter().collect::<Vec<_>>(),
+            vec![BlockNum::new(0)]
+        );
         d.validate().expect("driver validates in A's slot");
     }
 

@@ -35,6 +35,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use deepum_gpu::engine::PressureStats;
 use deepum_mem::{u64_from_usize, BlockNum};
 use deepum_trace::PressureLevel;
+use serde::{Deserialize, Serialize};
 
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
@@ -43,7 +44,7 @@ const SCORE_MILLI_PER_PCT: u64 = 1000;
 
 /// Tuning knobs of the [`PressureGovernor`]. All integers, so a config
 /// is `Eq` and byte-stable through the report and snapshot layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PressureConfig {
     /// An eviction followed by a demand re-migration within this many
     /// kernel launches counts as a refault (ping-pong).

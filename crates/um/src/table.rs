@@ -6,24 +6,24 @@
 //! hottest paths in the simulator. [`BlockTable`] replaces it with flat
 //! vectors keyed by **dense block ids**:
 //!
-//! * Block numbers are *almost* dense — within a tenant's VA stripe the
-//!   allocator bumps through a small range, but stripes sit 2^40 bytes
-//!   apart (2^19 blocks). The table keeps one lazily grown slot array
-//!   per touched stripe (a sorted, tiny list), mapping a block's
-//!   within-stripe offset to its dense id in O(1).
+//! * Block numbers are dense within a VA stripe
+//!   ([`deepum_mem::stripe`]). The table keeps one lazily grown slot
+//!   array per touched stripe, mapping a block's within-stripe offset to
+//!   its dense id in O(1). `BlockState` storage is indexed by dense id,
+//!   so it covers only the blocks ever touched, not every offset below
+//!   the highest one.
 //! * A dense id is assigned the first time a block is touched and is
 //!   **stable for the lifetime of the table**: eviction, release, and
-//!   re-fault reuse the same id (and the same `BlockState` storage), so
-//!   no pointer-sized state ever moves and scratch buffers sized by id
-//!   stay valid across churn. `tests/properties.rs` pins this.
+//!   re-fault reuse the same id (and the same `BlockState` storage).
+//!   `tests/properties.rs` pins this.
 //! * Iteration is in ascending [`BlockNum`] order — stripes ascend, and
 //!   a stripe's slot array is indexed by block offset — so every
 //!   consumer that used to rely on `BTreeMap`'s ordered iteration
 //!   (snapshot encoding, `validate()`, deregistration sweeps) sees the
 //!   exact same sequence and stays byte-identical.
 
-use deepum_mem::bitmap::{STRIPE_BLOCK_MASK, STRIPE_BLOCK_SHIFT};
-use deepum_mem::{u64_from_usize, BlockNum};
+use deepum_mem::stripe::{join, split, StripeMap};
+use deepum_mem::BlockNum;
 
 use crate::block::BlockState;
 
@@ -35,29 +35,14 @@ const VACANT: u32 = 0;
 /// `BTreeMap<BlockNum, BlockState>`.
 #[derive(Debug, Default, Clone)]
 pub struct BlockTable {
-    /// Per-stripe slot arrays (offset → dense id + 1), sorted by stripe.
-    stripes: Vec<StripeSlots>,
+    /// Per-stripe slot arrays: offset → dense id + 1.
+    slots: StripeMap<Vec<u32>>,
     /// Dense id → block state (kept allocated across remove/re-insert).
     states: Vec<BlockState>,
-    /// Dense id → block number (reverse mapping).
-    nums: Vec<BlockNum>,
     /// Dense id → currently present in the table.
     live: Vec<bool>,
     /// Number of live entries.
     len: usize,
-}
-
-#[derive(Debug, Clone)]
-struct StripeSlots {
-    id: u64,
-    slots: Vec<u32>,
-}
-
-#[inline]
-fn split(block: BlockNum) -> (u64, usize) {
-    let idx = block.index();
-    let offset = usize::try_from(idx & STRIPE_BLOCK_MASK).expect("stripe offset fits usize");
-    (idx >> STRIPE_BLOCK_SHIFT, offset)
 }
 
 #[inline]
@@ -75,11 +60,7 @@ impl BlockTable {
     #[inline]
     fn slot(&self, block: BlockNum) -> Option<u32> {
         let (stripe, offset) = split(block);
-        let i = match self.stripes.binary_search_by_key(&stripe, |s| s.id) {
-            Ok(i) => i,
-            Err(_) => return None,
-        };
-        self.stripes[i].slots.get(offset).copied()
+        self.slots.get(stripe)?.get(offset).copied()
     }
 
     /// The dense id assigned to `block`, if it has ever been touched.
@@ -92,20 +73,7 @@ impl BlockTable {
     /// block has never been touched; resurrects dead storage in place.
     fn ensure_id(&mut self, block: BlockNum) -> usize {
         let (stripe, offset) = split(block);
-        let si = match self.stripes.binary_search_by_key(&stripe, |s| s.id) {
-            Ok(i) => i,
-            Err(i) => {
-                self.stripes.insert(
-                    i,
-                    StripeSlots {
-                        id: stripe,
-                        slots: Vec::new(),
-                    },
-                );
-                i
-            }
-        };
-        let slots = &mut self.stripes[si].slots;
+        let slots = self.slots.entry(stripe);
         if slots.len() <= offset {
             slots.resize(offset + 1, VACANT);
         }
@@ -123,7 +91,6 @@ impl BlockTable {
                 let id = u32::try_from(idx).expect("dense block ids fit u32");
                 slots[offset] = id + 1;
                 self.states.push(BlockState::default());
-                self.nums.push(block);
                 self.live.push(true);
                 self.len += 1;
                 idx
@@ -194,21 +161,11 @@ impl BlockTable {
 
     /// Live entries in ascending [`BlockNum`] order.
     pub fn iter(&self) -> impl Iterator<Item = (BlockNum, &BlockState)> + '_ {
-        self.stripes.iter().flat_map(move |stripe| {
-            let base = stripe.id << STRIPE_BLOCK_SHIFT;
-            stripe
-                .slots
-                .iter()
-                .enumerate()
-                .filter_map(move |(offset, &slot)| {
-                    let idx = dense_index(slot)?;
-                    self.live[idx].then(|| {
-                        (
-                            BlockNum::new(base + u64_from_usize(offset)),
-                            &self.states[idx],
-                        )
-                    })
-                })
+        self.slots.iter().flat_map(move |(stripe, slots)| {
+            slots.iter().enumerate().filter_map(move |(offset, &slot)| {
+                let idx = dense_index(slot)?;
+                self.live[idx].then(|| (join(stripe, offset), &self.states[idx]))
+            })
         })
     }
 }
@@ -225,6 +182,7 @@ impl std::ops::Index<&BlockNum> for BlockTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deepum_mem::stripe::STRIPE_BLOCK_SHIFT;
     use deepum_sim::time::Ns;
 
     #[test]

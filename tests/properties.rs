@@ -473,7 +473,7 @@ proptest! {
             1..128,
         ),
     ) {
-        use deepum::mem::bitmap::STRIPE_BLOCK_SHIFT;
+        use deepum::mem::stripe::STRIPE_BLOCK_SHIFT;
         use deepum::mem::{BlockNum, DenseBlockSet};
         use std::collections::BTreeSet;
 
@@ -514,7 +514,7 @@ proptest! {
             1..128,
         ),
     ) {
-        use deepum::mem::bitmap::STRIPE_BLOCK_SHIFT;
+        use deepum::mem::stripe::STRIPE_BLOCK_SHIFT;
         use deepum::mem::BlockNum;
         use deepum::um::BlockTable;
         use std::collections::BTreeMap;

@@ -25,6 +25,7 @@ use deepum::torch::models::ModelKind;
 use deepum::torch::step::{TensorId, Workload, WorkloadBuilder};
 use deepum::trace::export::parse_jsonl;
 use deepum::trace::{shared, TraceEvent, Tracer};
+use deepum::um::pressure::PressureConfig;
 use deepum::InjectionPlan;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -82,8 +83,10 @@ fn run_thrash(governed: bool) -> (RunReport, String) {
     };
     let dcfg = if governed {
         DeepumConfig {
-            enable_pressure_governor: true,
-            pressure_refault_window: REFAULT_WINDOW,
+            pressure: Some(PressureConfig {
+                refault_window: REFAULT_WINDOW,
+                ..PressureConfig::default()
+            }),
             ..base
         }
     } else {
