@@ -129,8 +129,9 @@ const WALLCLOCK_PATTERNS: &[&str] = &[
 /// Files on the fault-drain / eviction / recovery critical path for
 /// `panic-safety`. The snapshot codec and the restore path run while
 /// the simulated system is already degraded, so a panic there turns a
-/// recoverable hard fault into an abort. The multi-tenant scheduler is
-/// held to the same bar: one tenant's failure must surface as a typed
+/// recoverable hard fault into an abort. The multi-tenant scheduler and
+/// the slot harness that admits and steps its tenants are held to the
+/// same bar: one tenant's failure must surface as a typed
 /// error, never abort its co-tenants — and so is the UM-path executor
 /// every tenant steps. The serving layer too: a request
 /// must end as completed or a typed shed, never a panic. The checkpoint
@@ -150,6 +151,7 @@ const PANIC_FILES: &[&str] = &[
     "crates/core/src/recovery.rs",
     "crates/baselines/src/executor/um.rs",
     "crates/sched/src/scheduler.rs",
+    "crates/sched/src/slot.rs",
     "crates/sched/src/tenant.rs",
     "crates/sched/src/spec.rs",
     "crates/serve/src/endpoint.rs",

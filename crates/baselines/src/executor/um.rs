@@ -43,7 +43,7 @@ use deepum_sim::time::Ns;
 use deepum_torch::alloc::{AllocError, CachingAllocator, PtBlockId, PtEvent};
 use deepum_torch::perf::PerfModel;
 use deepum_torch::step::{GatherAccess, KernelStep, Step, TensorId, Workload};
-use deepum_trace::{InjectKind, SharedTracer, TraceEvent};
+use deepum_trace::{emit, InjectKind, SharedTracer, TraceEvent};
 use deepum_um::snapshot::{
     read_counters, write_counters, SnapshotError, SnapshotReader, SnapshotWriter,
 };
@@ -359,13 +359,6 @@ fn try_restore_image<B: UmBackend>(
     Ok(state)
 }
 
-/// Emits one trace event when the run is traced.
-fn emit(tracer: &Option<SharedTracer>, now: Ns, event: TraceEvent) {
-    if let Some(tr) = tracer {
-        tr.borrow_mut().emit(now.as_nanos(), event);
-    }
-}
-
 /// One UM-path run, executed one unit of work at a time.
 ///
 /// The stepper owns everything a run owns except the backend: the
@@ -398,34 +391,13 @@ pub struct UmStepper {
 }
 
 impl UmStepper {
-    /// Builds the run's private stack and installs `cfg`'s injector and
-    /// tracer on `backend` and the engine. The runtime's UM space starts
-    /// at the block-aligned `va_base` (zero for a solo run). No other
-    /// backend work happens here: the first [`UmStepper::step`]
-    /// allocates the persistent tensors.
+    /// Builds the run's private stack over `backend` with [`wire_stack`].
+    /// No other backend work happens here: the first
+    /// [`UmStepper::step`] allocates the persistent tensors.
     pub fn new<B: UmBackend>(backend: &mut B, cfg: UmRunConfig, va_base: u64) -> Self {
-        let runtime = CudaRuntime::with_va_base(
-            cfg.costs.host_memory_bytes,
-            va_base,
-            cfg.costs.launch_intercept_cost,
-        );
-        let mut engine = GpuEngine::new();
-        // An empty plan installs no injector at all, keeping the run
-        // bit-identical to one that never heard of fault injection.
-        let injector = if cfg.plan.is_empty() {
-            None
-        } else {
-            Some(cfg.plan.build_shared())
-        };
-        if let Some(inj) = &injector {
-            backend.install_injector(inj.clone());
-            engine.set_injector(inj.clone());
-        }
+        let (runtime, mut engine, injector) =
+            wire_stack(backend, &cfg.costs, va_base, &cfg.plan, cfg.tracer.as_ref());
         engine.set_validate_after_drain(cfg.validate_after_drain);
-        if let Some(tr) = &cfg.tracer {
-            backend.install_tracer(tr.clone());
-            engine.set_tracer(tr.clone());
-        }
         // Checkpointing is active when hard faults can happen or the
         // config asked for it; otherwise the stepper is behaviorally
         // identical to a plain nested iteration/step walk.
@@ -479,16 +451,6 @@ impl UmStepper {
     /// Whole-stack energy consumed so far, joules.
     pub fn energy_joules(&self) -> f64 {
         self.st.energy.joules()
-    }
-
-    /// The run's tracer, if one was configured.
-    pub fn tracer(&self) -> Option<&SharedTracer> {
-        self.cfg.tracer.as_ref()
-    }
-
-    /// The run's fault injector, if its plan is non-empty.
-    pub fn injector(&self) -> Option<&SharedInjector> {
-        self.injector.as_ref()
     }
 
     /// True once every iteration ran to completion.
@@ -588,7 +550,8 @@ impl UmStepper {
                     .remove(id)
                     .ok_or_else(|| RunError::Driver(format!("free of unmapped tensor {id}")))?;
                 self.allocator.free(block, &mut self.events);
-                self.forward_events(backend);
+                let now = self.st.clock.now();
+                forward_events(&mut self.events, &mut self.runtime, now, backend);
                 false
             }
             Some(Step::Kernel(k)) => {
@@ -688,19 +651,7 @@ impl UmStepper {
                 )?;
                 return Ok(false);
             }
-            // One kernel pinned more pages than the device holds: no
-            // eviction order fixes that, so surface the typed terminal
-            // error instead of looping on faults.
-            Err(EngineError::Backend(BackendError::CapacityExceeded {
-                needed_pages,
-                capacity_pages,
-            })) => {
-                return Err(RunError::WorkingSetExceedsDevice {
-                    needed_pages,
-                    capacity_pages,
-                })
-            }
-            Err(e) => return Err(RunError::Driver(e.to_string())),
+            Err(e) => return Err(engine_error(e)),
         }
         self.st.kernel_seq += 1;
         if let Some(every) = self.cadence {
@@ -745,7 +696,7 @@ impl UmStepper {
 
     /// Emits one trace event stamped with the run's clock.
     fn emit(&self, event: TraceEvent) {
-        emit(&self.cfg.tracer, self.st.clock.now(), event);
+        emit(&self.cfg.tracer, self.st.clock.now().as_nanos(), event);
     }
 
     fn take_checkpoint<B: UmBackend>(&mut self, backend: &B) -> Result<(), RunError> {
@@ -860,7 +811,7 @@ impl UmStepper {
             |index, _err| {
                 emit(
                     &cfg.tracer,
-                    crash_now,
+                    crash_now.as_nanos(),
                     TraceEvent::CheckpointCorrupt { generation: index },
                 );
             },
@@ -924,20 +875,69 @@ impl UmStepper {
                 AllocError::ZeroSize => RunError::Unsupported("zero-size tensor".into()),
             })?;
         self.st.tensors.insert(id, (block, range));
-        self.forward_events(backend);
+        let now = self.st.clock.now();
+        forward_events(&mut self.events, &mut self.runtime, now, backend);
         Ok(())
     }
+}
 
-    /// Drains allocator events into driver notifications.
-    fn forward_events<B: LaunchObserver>(&mut self, backend: &mut B) {
-        let now = self.st.clock.now();
-        for event in self.events.drain(..) {
-            match event {
-                PtEvent::Active(range) => self.runtime.notify_pt_block(now, range, false, backend),
-                PtEvent::Inactive(range) => self.runtime.notify_pt_block(now, range, true, backend),
-                PtEvent::Released(range) => backend.on_um_range_released(now, range),
-            }
+/// Builds a UM-path run's CUDA runtime at `va_base` and its GPU engine,
+/// installing `tracer` and the `plan`'s injector on both the engine and
+/// `backend`. An empty plan installs no injector at all.
+pub fn wire_stack<B: UmBackend>(
+    backend: &mut B,
+    costs: &CostModel,
+    va_base: u64,
+    plan: &InjectionPlan,
+    tracer: Option<&SharedTracer>,
+) -> (CudaRuntime, GpuEngine, Option<SharedInjector>) {
+    let runtime = CudaRuntime::with_va_base(
+        costs.host_memory_bytes,
+        va_base,
+        costs.launch_intercept_cost,
+    );
+    let mut engine = GpuEngine::new();
+    let injector = (!plan.is_empty()).then(|| plan.build_shared());
+    if let Some(inj) = &injector {
+        backend.install_injector(inj.clone());
+        engine.set_injector(inj.clone());
+    }
+    if let Some(tr) = tracer {
+        backend.install_tracer(tr.clone());
+        engine.set_tracer(tr.clone());
+    }
+    (runtime, engine, injector)
+}
+
+/// Drains allocator events into driver notifications at `now`.
+pub fn forward_events<B: LaunchObserver>(
+    events: &mut Vec<PtEvent>,
+    runtime: &mut CudaRuntime,
+    now: Ns,
+    backend: &mut B,
+) {
+    for event in events.drain(..) {
+        match event {
+            PtEvent::Active(range) => runtime.notify_pt_block(now, range, false, backend),
+            PtEvent::Inactive(range) => runtime.notify_pt_block(now, range, true, backend),
+            PtEvent::Released(range) => backend.on_um_range_released(now, range),
         }
+    }
+}
+
+/// The typed terminal error of a failed kernel: one kernel pinning more
+/// pages than the device holds (no eviction order fixes that) or else a
+/// driver error.
+pub fn engine_error(e: EngineError) -> RunError {
+    match e {
+        EngineError::Backend(BackendError::CapacityExceeded {
+            needed_pages,
+            capacity_pages,
+        }) => RunError::WorkingSetExceedsDevice {
+            needed_pages,
+            capacity_pages,
+        },
+        e => RunError::Driver(e.to_string()),
     }
 }
 

@@ -3,6 +3,8 @@
 use deepum_um::pressure::PressureConfig;
 use serde::{Deserialize, Serialize};
 
+use crate::watchdog::WatchdogConfig;
+
 /// Tunable parameters of the DeepUM driver.
 ///
 /// Defaults follow the paper's evaluation configuration: UM-block
@@ -45,21 +47,10 @@ pub struct DeepumConfig {
     pub enable_preevict: bool,
     /// Inactive-PT-block invalidation on/off (Section 5.2, Fig. 10).
     pub enable_invalidate: bool,
-    /// Prefetch-accuracy watchdog on/off. Off by default: the watchdog
-    /// only changes behaviour when mispredictions are rampant, which in
-    /// this simulation means chaos-injection runs.
-    pub enable_watchdog: bool,
-    /// Kernel launches per watchdog evaluation window.
-    pub watchdog_window_kernels: u64,
-    /// Wasted-prefetch percentage at which the watchdog halves the
-    /// prefetch degree. Integer percent to keep the config `Eq`.
-    pub watchdog_throttle_pct: u64,
-    /// Wasted-prefetch percentage at which the watchdog disables
-    /// correlation prefetching until the cooldown elapses.
-    pub watchdog_disable_pct: u64,
-    /// Kernel launches the watchdog keeps prefetching disabled before
-    /// re-enabling it.
-    pub watchdog_cooldown_kernels: u64,
+    /// Prefetch-accuracy watchdog, off (`None`) by default: the
+    /// watchdog only changes behaviour when mispredictions are rampant,
+    /// which in this simulation means chaos-injection runs.
+    pub watchdog: Option<WatchdogConfig>,
     /// Upper bound on the predicted-window (eviction-protection) queue;
     /// entries past it are dropped oldest-first (backpressure) and
     /// counted in the run's health report. The default is sized so
@@ -118,15 +109,16 @@ impl DeepumConfig {
     pub fn with_watchdog(
         mut self,
         window_kernels: u64,
-        throttle_pct: u64,
-        disable_pct: u64,
+        throttle_pct: u32,
+        disable_pct: u32,
         cooldown_kernels: u64,
     ) -> Self {
-        self.enable_watchdog = true;
-        self.watchdog_window_kernels = window_kernels;
-        self.watchdog_throttle_pct = throttle_pct;
-        self.watchdog_disable_pct = disable_pct;
-        self.watchdog_cooldown_kernels = cooldown_kernels;
+        self.watchdog = Some(WatchdogConfig {
+            window_kernels,
+            throttle_pct,
+            disable_pct,
+            cooldown_kernels,
+        });
         self
     }
 
@@ -161,11 +153,7 @@ impl Default for DeepumConfig {
             enable_prefetch: true,
             enable_preevict: true,
             enable_invalidate: true,
-            enable_watchdog: false,
-            watchdog_window_kernels: 8,
-            watchdog_throttle_pct: 50,
-            watchdog_disable_pct: 90,
-            watchdog_cooldown_kernels: 16,
+            watchdog: None,
             predicted_window_capacity: 1 << 20,
             pressure: None,
         }
@@ -223,12 +211,16 @@ mod tests {
 
     #[test]
     fn watchdog_defaults_off_and_builder_enables() {
-        assert!(!DeepumConfig::default().enable_watchdog);
+        assert!(DeepumConfig::default().watchdog.is_none());
         let c = DeepumConfig::default().with_watchdog(4, 30, 60, 8);
-        assert!(c.enable_watchdog);
-        assert_eq!(c.watchdog_window_kernels, 4);
-        assert_eq!(c.watchdog_throttle_pct, 30);
-        assert_eq!(c.watchdog_disable_pct, 60);
-        assert_eq!(c.watchdog_cooldown_kernels, 8);
+        assert_eq!(
+            c.watchdog,
+            Some(WatchdogConfig {
+                window_kernels: 4,
+                throttle_pct: 30,
+                disable_pct: 60,
+                cooldown_kernels: 8,
+            })
+        );
     }
 }

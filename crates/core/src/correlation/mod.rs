@@ -12,18 +12,9 @@
 //!   successor blocks, plus the *start*/*end* block pointers that anchor
 //!   chaining (Fig. 7). `NumLevels = 1` because chaining substitutes for
 //!   multi-level successor storage.
-//!
-//! [`pair::PairCorrelationTable`] is the original multi-level cache-line
-//! scheme of Section 4.1, kept as a faithful reference implementation
-//! (and ablation subject); [`stride::StridePrefetcher`] is the
-//! stride-based family the paper decided against, for the same purpose.
 
 pub mod block;
 pub mod exec;
-pub mod pair;
-pub mod stride;
 
 pub use block::BlockCorrelationTable;
 pub use exec::{ExecCorrelationTable, ExecRecord};
-pub use pair::PairCorrelationTable;
-pub use stride::StridePrefetcher;

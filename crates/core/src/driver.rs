@@ -31,7 +31,7 @@ use deepum_sim::costs::CostModel;
 use deepum_sim::faultinject::{BackendHealth, DegradationState, SharedInjector};
 use deepum_sim::metrics::Counters;
 use deepum_sim::time::Ns;
-use deepum_trace::{InjectKind, PressureLevel, SharedTracer, TraceEvent, WatchdogMode};
+use deepum_trace::{emit, InjectKind, PressureLevel, SharedTracer, TraceEvent, WatchdogMode};
 use deepum_um::driver::UmDriver;
 use deepum_um::hints::Advice;
 use deepum_um::scratch::group_faults_into;
@@ -52,15 +52,6 @@ const PREFETCH_QUEUE_CAPACITY: usize = 8192;
 /// Pre-eviction keeps at least this many UM blocks of device memory free
 /// so demand faults find room without critical-path eviction.
 const PREEVICT_HEADROOM_BLOCKS: u64 = 8;
-
-/// Emits one trace event when a tracer is installed. Free function (not
-/// a method) so emit sites inside loops that hold field borrows (the
-/// chain walk in `pump_chain`) can still reach the tracer field.
-fn emit(tracer: &Option<SharedTracer>, now: Ns, event: TraceEvent) {
-    if let Some(tr) = tracer {
-        tr.borrow_mut().emit(now.as_nanos(), event);
-    }
-}
 
 /// Watchdog state as the dependency-free trace vocabulary.
 fn watchdog_mode(state: DegradationState) -> WatchdogMode {
@@ -169,16 +160,7 @@ impl DeepumDriver {
             um.install_pressure_governor(pressure);
         }
         let prefetch_q = SpscQueue::new(PREFETCH_QUEUE_CAPACITY);
-        let watchdog = if cfg.enable_watchdog {
-            Some(PrefetchWatchdog::new(
-                cfg.watchdog_window_kernels,
-                cfg.watchdog_throttle_pct,
-                cfg.watchdog_disable_pct,
-                cfg.watchdog_cooldown_kernels,
-            ))
-        } else {
-            None
-        };
+        let watchdog = cfg.watchdog.map(PrefetchWatchdog::new);
         DeepumDriver {
             um,
             cfg,
@@ -242,6 +224,17 @@ impl DeepumDriver {
     /// driver swaps it in for the tenant's slots.
     pub fn take_pressure_governor(&mut self) -> Option<deepum_um::pressure::PressureGovernor> {
         self.um.take_pressure_governor()
+    }
+
+    /// The tracer installed on the driver, if any: the one its tenant
+    /// ledger emits into on a shared driver.
+    pub fn tracer(&self) -> Option<&SharedTracer> {
+        self.tracer.as_ref()
+    }
+
+    /// The fault injector installed on the driver, if any.
+    pub fn injector(&self) -> Option<&SharedInjector> {
+        self.injector.as_ref()
     }
 
     /// DeepUM-side counters only — what [`DeepumDriver::counters`] adds
@@ -424,7 +417,7 @@ impl DeepumDriver {
                     self.local.block_table_lookups += 1;
                     emit(
                         &self.tracer,
-                        self.trace_now,
+                        self.trace_now.as_nanos(),
                         TraceEvent::ChainFollow {
                             block: cmd.block.index(),
                             depth: chain.kernels_ahead() as u64,
@@ -456,7 +449,7 @@ impl DeepumDriver {
                         self.enqueued.insert(cmd.block);
                         emit(
                             &self.tracer,
-                            self.trace_now,
+                            self.trace_now.as_nanos(),
                             TraceEvent::PrefetchEnqueue {
                                 block: cmd.block.index(),
                                 pages: footprint.count() as u64,
@@ -523,7 +516,7 @@ impl DeepumDriver {
             self.local.prefetch_dropped += 1;
             emit(
                 &self.tracer,
-                now,
+                now.as_nanos(),
                 TraceEvent::PrefetchDrop {
                     block: cmd.block.index(),
                 },
@@ -602,7 +595,7 @@ impl LaunchObserver for DeepumDriver {
                 }
                 emit(
                     &self.tracer,
-                    now,
+                    now.as_nanos(),
                     TraceEvent::CorrelationPredict {
                         hit: predicted == exec,
                     },
@@ -634,7 +627,7 @@ impl LaunchObserver for DeepumDriver {
             if before != after {
                 emit(
                     &self.tracer,
-                    now,
+                    now.as_nanos(),
                     TraceEvent::WatchdogTransition {
                         from: watchdog_mode(before),
                         to: watchdog_mode(after),
@@ -667,7 +660,7 @@ impl LaunchObserver for DeepumDriver {
                 self.window_resizes += 1;
                 emit(
                     &self.tracer,
-                    now,
+                    now.as_nanos(),
                     TraceEvent::PredictedWindowResized {
                         from_degree: (base >> old).max(1) as u64,
                         to_degree: (base >> new).max(1) as u64,
@@ -727,7 +720,7 @@ impl UmBackend for DeepumDriver {
             if let Some(idx) = ecc_hit {
                 emit(
                     &self.tracer,
-                    now,
+                    now.as_nanos(),
                     TraceEvent::InjectedFault {
                         kind: InjectKind::EccError,
                     },
@@ -735,7 +728,7 @@ impl UmBackend for DeepumDriver {
                 if let Some(&(block, _)) = groups.get(idx) {
                     emit(
                         &self.tracer,
-                        now,
+                        now.as_nanos(),
                         TraceEvent::TablesPoisoned {
                             block: block.index(),
                         },

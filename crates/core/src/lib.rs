@@ -44,4 +44,4 @@ pub use driver::DeepumDriver;
 pub use footprint::FootprintMap;
 pub use queues::{PrefetchCommand, SpscQueue};
 pub use recovery::{JournalEntry, LaunchJournal, RecoveryReport};
-pub use watchdog::PrefetchWatchdog;
+pub use watchdog::{PrefetchWatchdog, WatchdogConfig};

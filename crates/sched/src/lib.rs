@@ -64,6 +64,6 @@ pub mod spec;
 pub mod tenant;
 
 pub use scheduler::{MultiTenant, ScheduleOutcome};
-pub use slot::{close_slot, open_slot};
+pub use slot::{admit, close_slot, open_slot, quota_slot};
 pub use spec::{seeded_arrivals, JobKind, TenantSpec};
 pub use tenant::{StepOutcome, TenantRun};

@@ -34,22 +34,12 @@ use deepum_sim::costs::CostModel;
 use deepum_sim::metrics::Counters;
 use deepum_sim::time::Ns;
 use deepum_torch::perf::PerfModel;
-use deepum_trace::{PressureLevel, SharedTracer, TraceEvent};
+use deepum_trace::{emit, PressureLevel, SharedTracer, TraceEvent};
 use deepum_um::driver::UmDriver;
 
+use crate::slot::quota_slot;
 use crate::spec::TenantSpec;
-use crate::tenant::{StepOutcome, TenantRun};
-
-/// Safety valve: non-kernel work units one slot may perform before the
-/// scheduler declares the tenant wedged. Real programs run a handful of
-/// allocator steps between kernels; only a bug approaches this.
-const MAX_UNITS_PER_SLOT: u64 = 1_000_000;
-
-fn emit(tracer: &Option<SharedTracer>, now: Ns, event: TraceEvent) {
-    if let Some(tr) = tracer {
-        tr.borrow_mut().emit(now.as_nanos(), event);
-    }
-}
+use crate::tenant::TenantRun;
 
 /// A multi-tenant schedule: N tenant specs time-sharing one device.
 #[derive(Debug, Clone)]
@@ -132,15 +122,25 @@ impl MultiTenant {
                     deferred.sort_unstable();
                 } else {
                     for idx in idxs {
-                        self.admit(
-                            idx,
-                            &mut shared,
-                            &mut runs,
-                            &mut reports,
-                            &mut errors,
-                            &mut tracers,
-                            &mut active,
-                        );
+                        let Some(spec) = self.specs.get(idx) else {
+                            continue;
+                        };
+                        let raw = u32::try_from(idx).unwrap_or(u32::MAX);
+                        match self.admit(raw, spec, &mut shared, &mut tracers) {
+                            Ok(run) => {
+                                if let Some(slot) = runs.get_mut(idx) {
+                                    *slot = Some(run);
+                                }
+                                active.push(idx);
+                                active.sort_unstable();
+                            }
+                            Err(err) => {
+                                if let Some(slot) = reports.get_mut(idx) {
+                                    *slot = Some(denied_report(raw, spec, &err));
+                                }
+                                errors.push((raw, err));
+                            }
+                        }
                     }
                 }
             }
@@ -175,7 +175,7 @@ impl MultiTenant {
                     finished.push(idx);
                     continue;
                 }
-                if Self::slot(run, &mut shared) {
+                if quota_slot(&mut shared, run) {
                     finished.push(idx);
                 }
             }
@@ -217,7 +217,7 @@ impl MultiTenant {
                     if let Some(run) = runs.get_mut(idx).and_then(Option::as_mut) {
                         emit(
                             &run.tracer(),
-                            run.now(),
+                            run.now().as_nanos(),
                             TraceEvent::PressureSignal { level },
                         );
                     }
@@ -298,116 +298,31 @@ impl MultiTenant {
         }
     }
 
-    /// Admits one spec: builds its private stack and registers its
-    /// ledger, or refuses it with a typed admission error.
-    #[allow(clippy::too_many_arguments)]
+    /// Builds the private stack of tenant `raw` and admits it to the
+    /// shared driver, recording its tracer whether or not it is
+    /// admitted.
     fn admit(
         &self,
-        idx: usize,
+        raw: u32,
+        spec: &TenantSpec,
         shared: &mut UmDriver,
-        runs: &mut [Option<Box<TenantRun>>],
-        reports: &mut [Option<TenantReport>],
-        errors: &mut Vec<(u32, RunError)>,
         tracers: &mut Vec<(u32, SharedTracer)>,
-        active: &mut Vec<usize>,
-    ) {
-        let Some(spec) = self.specs.get(idx) else {
-            return;
-        };
-        let raw = u32::try_from(idx).unwrap_or(u32::MAX);
+    ) -> Result<Box<TenantRun>, RunError> {
         let tid = TenantId(raw);
         let mut run = TenantRun::new(tid, spec.clone(), self.costs.clone(), self.perf.clone());
-        // A governor configured on the tenant's job driver moves into
-        // its ledger; the slot swap installs it on the shared driver
-        // whenever the tenant runs.
-        let governor = run.driver.take_pressure_governor();
         if let Some(tr) = run.tracer() {
             tracers.push((raw, tr));
         }
-        match shared.register_tenant(
+        let now = run.now();
+        crate::slot::admit(
+            shared,
+            &mut run.driver,
             tid,
             spec.floor_pages,
             spec.priority,
-            governor,
-            run.tracer(),
-            run.injector(),
-        ) {
-            Ok(()) => {
-                emit(
-                    &run.tracer(),
-                    run.now(),
-                    TraceEvent::TenantAdmitted {
-                        tenant: raw,
-                        floor_pages: spec.floor_pages,
-                        priority: spec.priority,
-                    },
-                );
-                if let Some(slot) = runs.get_mut(idx) {
-                    *slot = Some(Box::new(run));
-                }
-                active.push(idx);
-                active.sort_unstable();
-            }
-            Err((need, avail)) => {
-                emit(
-                    &run.tracer(),
-                    run.now(),
-                    TraceEvent::TenantDenied {
-                        tenant: raw,
-                        need,
-                        avail,
-                    },
-                );
-                let err = RunError::AdmissionDenied {
-                    tenant: raw,
-                    need,
-                    avail,
-                };
-                if let Some(slot) = reports.get_mut(idx) {
-                    *slot = Some(denied_report(raw, spec, &err));
-                }
-                errors.push((raw, err));
-            }
-        }
-    }
-
-    /// Runs one kernel slot for `run`: opens the slot on the shared
-    /// driver, pays reclaim debt, executes `priority` kernels, and
-    /// closes the slot. Returns true when the tenant finished (done or
-    /// failed) during the slot.
-    fn slot(run: &mut TenantRun, shared: &mut UmDriver) -> bool {
-        // Write-back debt charged by fair-share evictions while other
-        // tenants were active is paid here, by its cause.
-        let (tid, now) = (run.tid, run.now());
-        let debt = crate::slot::open_slot(shared, &mut run.driver, tid, now);
-        run.advance_clock(debt);
-
-        let quota = u64::from(run.spec.priority);
-        let mut kernels = 0u64;
-        let mut units = 0u64;
-        let mut finished = false;
-        while kernels < quota {
-            units += 1;
-            if units > MAX_UNITS_PER_SLOT {
-                finished = true;
-                break;
-            }
-            match run.step() {
-                StepOutcome::Ran { kernel } => {
-                    if kernel {
-                        kernels += 1;
-                    }
-                }
-                StepOutcome::Done | StepOutcome::Failed => {
-                    finished = true;
-                    break;
-                }
-            }
-        }
-
-        let now = run.now();
-        crate::slot::close_slot(shared, &mut run.driver, now);
-        finished
+            now,
+        )?;
+        Ok(Box::new(run))
     }
 }
 

@@ -20,7 +20,6 @@ use deepum_core::driver::DeepumDriver;
 use deepum_mem::stripe::tenant_va_base;
 use deepum_mem::TenantId;
 use deepum_sim::costs::CostModel;
-use deepum_sim::faultinject::SharedInjector;
 use deepum_sim::metrics::Counters;
 use deepum_sim::time::Ns;
 use deepum_torch::perf::PerfModel;
@@ -90,12 +89,7 @@ impl TenantRun {
 
     /// The tenant's tracer, if one was installed.
     pub fn tracer(&self) -> Option<SharedTracer> {
-        self.run.tracer().cloned()
-    }
-
-    /// The tenant's fault injector, if its plan is non-empty.
-    pub fn injector(&self) -> Option<SharedInjector> {
-        self.run.injector().cloned()
+        self.driver.tracer().cloned()
     }
 
     /// True once the job ran every repetition to completion.

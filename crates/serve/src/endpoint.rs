@@ -9,9 +9,10 @@
 //! (advised `PreferredLocation`), virtual-time deadlines, and
 //! retry-with-backoff on injected transient request failures.
 
+use deepum_baselines::executor::um::{engine_error, forward_events, wire_stack};
 use deepum_baselines::report::{EndpointReport, RunError};
 use deepum_core::driver::DeepumDriver;
-use deepum_gpu::engine::{BackendError, EngineError, GpuEngine, UmBackend};
+use deepum_gpu::engine::GpuEngine;
 use deepum_gpu::fault::AccessKind;
 use deepum_gpu::kernel::{BlockAccess, KernelLaunch};
 use deepum_mem::stripe::tenant_va_base;
@@ -25,7 +26,7 @@ use deepum_sim::metrics::Counters;
 use deepum_sim::time::Ns;
 use deepum_torch::alloc::{AllocError, CachingAllocator, PtBlockId, PtEvent};
 use deepum_torch::perf::PerfModel;
-use deepum_trace::{shared, ServeLevel, SharedTracer, ShedReason, TraceEvent, Tracer};
+use deepum_trace::{emit, shared, ServeLevel, SharedTracer, ShedReason, TraceEvent, Tracer};
 use deepum_um::hints::Advice;
 
 /// What serving one request produced.
@@ -39,12 +40,6 @@ pub enum RequestOutcome {
     },
     /// The request was refused (ladder shed or retry exhaustion).
     Shed(ShedReason),
-}
-
-fn emit(tracer: &Option<SharedTracer>, now: Ns, event: TraceEvent) {
-    if let Some(tr) = tracer {
-        tr.borrow_mut().emit(now.as_nanos(), event);
-    }
 }
 
 /// One endpoint's private execution stack and serving counters.
@@ -100,32 +95,16 @@ impl EndpointRun {
         traced: bool,
     ) -> Self {
         let mut driver = DeepumDriver::new(costs.clone(), spec.config.clone());
-        let runtime = CudaRuntime::with_va_base(
-            costs.host_memory_bytes,
-            tenant_va_base(tid),
-            costs.launch_intercept_cost,
-        );
-        let mut engine = GpuEngine::new();
         let mut plan = plan.clone();
         plan.seed ^= u64::from(tid.raw()).wrapping_mul(0xD1B5_4A32_D192_ED03);
-        let injector = if plan.is_empty() {
-            None
-        } else {
-            Some(plan.build_shared())
-        };
-        if let Some(inj) = &injector {
-            UmBackend::install_injector(&mut driver, inj.clone());
-            engine.set_injector(inj.clone());
-        }
-        let tracer = if traced {
-            Some(shared(Tracer::export()))
-        } else {
-            None
-        };
-        if let Some(tr) = &tracer {
-            UmBackend::install_tracer(&mut driver, tr.clone());
-            engine.set_tracer(tr.clone());
-        }
+        let tracer = traced.then(|| shared(Tracer::export()));
+        let (runtime, engine, injector) = wire_stack(
+            &mut driver,
+            &costs,
+            tenant_va_base(tid),
+            &plan,
+            tracer.as_ref(),
+        );
         EndpointRun {
             spec,
             tid,
@@ -175,11 +154,6 @@ impl EndpointRun {
     /// The endpoint's tracer, if one was installed.
     pub fn tracer(&self) -> Option<SharedTracer> {
         self.tracer.clone()
-    }
-
-    /// The endpoint's fault injector, if its plan is non-empty.
-    pub fn injector(&self) -> Option<SharedInjector> {
-        self.injector.clone()
     }
 
     /// Terminal error, if the endpoint died.
@@ -255,7 +229,7 @@ impl EndpointRun {
         let endpoint = self.tid.raw();
         emit(
             &self.tracer,
-            self.clock.now(),
+            self.clock.now().as_nanos(),
             TraceEvent::RequestArrived {
                 endpoint,
                 request: id,
@@ -267,7 +241,7 @@ impl EndpointRun {
             self.shed += 1;
             emit(
                 &self.tracer,
-                self.clock.now(),
+                self.clock.now().as_nanos(),
                 TraceEvent::RequestShed {
                     endpoint,
                     request: id,
@@ -294,7 +268,7 @@ impl EndpointRun {
                 self.shed += 1;
                 emit(
                     &self.tracer,
-                    self.clock.now(),
+                    self.clock.now().as_nanos(),
                     TraceEvent::RequestShed {
                         endpoint,
                         request: id,
@@ -330,32 +304,19 @@ impl EndpointRun {
                 self.runtime
                     .launch(self.clock.now(), &launch, &mut self.driver);
             self.clock.advance(intercept);
-            match self
-                .engine
-                .execute(&launch, &mut self.clock, &mut self.driver, &mut self.energy)
+            if let Err(e) =
+                self.engine
+                    .execute(&launch, &mut self.clock, &mut self.driver, &mut self.energy)
             {
-                Ok(_stats) => {}
-                Err(EngineError::Backend(BackendError::CapacityExceeded {
-                    needed_pages,
-                    capacity_pages,
-                })) => {
-                    let e = RunError::WorkingSetExceedsDevice {
-                        needed_pages,
-                        capacity_pages,
-                    };
-                    self.error = Some(e.clone());
-                    return Err(e);
-                }
-                Err(e) => {
-                    let e = RunError::Driver(e.to_string());
-                    self.error = Some(e.clone());
-                    return Err(e);
-                }
+                let e = engine_error(e);
+                self.error = Some(e.clone());
+                return Err(e);
             }
         }
 
         self.allocator.free(kv_block, &mut self.events);
-        self.forward_events();
+        let now = self.clock.now();
+        forward_events(&mut self.events, &mut self.runtime, now, &mut self.driver);
 
         let finish = self.clock.now();
         let latency = finish.saturating_sub(arrival);
@@ -364,7 +325,7 @@ impl EndpointRun {
         self.latencies.push(latency.as_nanos());
         emit(
             &self.tracer,
-            finish,
+            finish.as_nanos(),
             TraceEvent::RequestCompleted {
                 endpoint,
                 request: id,
@@ -379,7 +340,7 @@ impl EndpointRun {
             self.cycle_misses += 1;
             emit(
                 &self.tracer,
-                finish,
+                finish.as_nanos(),
                 TraceEvent::DeadlineMissed {
                     endpoint,
                     request: id,
@@ -449,36 +410,13 @@ impl EndpointRun {
             });
         match out {
             Ok(pair) => {
-                self.forward_events();
+                let now = self.clock.now();
+                forward_events(&mut self.events, &mut self.runtime, now, &mut self.driver);
                 Ok(pair)
             }
             Err(e) => {
                 self.error = Some(e.clone());
                 Err(e)
-            }
-        }
-    }
-
-    /// Drains allocator events into driver notifications.
-    fn forward_events(&mut self) {
-        let now = self.clock.now();
-        for event in self.events.drain(..) {
-            match event {
-                PtEvent::Active(range) => {
-                    self.runtime
-                        .notify_pt_block(now, range, false, &mut self.driver)
-                }
-                PtEvent::Inactive(range) => {
-                    self.runtime
-                        .notify_pt_block(now, range, true, &mut self.driver)
-                }
-                PtEvent::Released(range) => {
-                    deepum_runtime::interpose::LaunchObserver::on_um_range_released(
-                        &mut self.driver,
-                        now,
-                        range,
-                    )
-                }
             }
         }
     }
@@ -591,7 +529,7 @@ mod tests {
             false,
         );
         shared
-            .register_tenant(tid, 0, 1, None, None, ep.injector())
+            .register_tenant(tid, 0, 1, None, None, ep.driver.injector().cloned())
             .expect("register");
         let before = ep.now();
         let out = serve_one(&mut ep, &mut shared, 8);

@@ -2,7 +2,11 @@
 //! bystander) time-sharing one device through the scheduler's slot
 //! protocol, defended by per-endpoint degradation ladders.
 //!
-//! [`ServeSim::run`] drives a deterministic cycle loop. Each cycle:
+//! [`ServeSim::run`] first admits every endpoint, then the bystander,
+//! through [`deepum_sched::admit`]: a refused tenant gets the same typed
+//! `AdmissionDenied` error and `TenantDenied` trace event as a refused
+//! scheduler tenant, and never runs. It then drives a deterministic
+//! cycle loop. Each cycle:
 //!
 //! 1. **Endpoint slots** — every endpoint, in tenant-id order, gets one
 //!    slot: the shared UM driver is swapped in
@@ -12,8 +16,8 @@
 //!    back-to-back — every request in the batch is stamped with the
 //!    slot-start arrival time, so requests queued behind earlier ones
 //!    accrue queueing delay against their deadline.
-//! 2. **Bystander slot** — the optional training tenant steps its
-//!    priority quota of kernels, exactly like a scheduler tenant.
+//! 2. **Bystander slot** — the optional training tenant runs the
+//!    scheduler's kernel-quota slot ([`deepum_sched::quota_slot`]).
 //! 3. **Ladder observation** — each endpoint's ladder ingests the
 //!    cycle's (arrivals, misses) pair plus its pressure-governor level;
 //!    transitions are applied to the endpoint's driver (shrink /
@@ -28,12 +32,12 @@
 
 use deepum_baselines::report::{RunError, RunReport, ServingReport};
 use deepum_mem::TenantId;
-use deepum_sched::{close_slot, open_slot, StepOutcome, TenantRun};
+use deepum_sched::{admit, close_slot, open_slot, quota_slot, TenantRun};
 use deepum_sim::costs::CostModel;
 use deepum_sim::metrics::Counters;
 use deepum_sim::time::Ns;
 use deepum_torch::perf::PerfModel;
-use deepum_trace::{PressureLevel, ServeLevel, SharedTracer, TraceEvent};
+use deepum_trace::{emit, PressureLevel, ServeLevel, SharedTracer, TraceEvent};
 use deepum_um::driver::UmDriver;
 
 use crate::endpoint::EndpointRun;
@@ -41,19 +45,9 @@ use crate::ladder::{DegradationLadder, LadderConfig};
 use crate::load::cycle_rng;
 use crate::spec::ServeSpec;
 
-/// Safety valve on bystander work units per slot (mirrors the
-/// scheduler's bound).
-const MAX_UNITS_PER_SLOT: u64 = 1_000_000;
-
 /// Safety valve on drain slots for the bystander after the serving
 /// cycles end.
 const MAX_DRAIN_SLOTS: u64 = 1_000_000;
-
-fn emit(tracer: &Option<SharedTracer>, now: Ns, event: TraceEvent) {
-    if let Some(tr) = tracer {
-        tr.borrow_mut().emit(now.as_nanos(), event);
-    }
-}
 
 /// A serving run: N endpoints (plus an optional bystander) on one
 /// simulated device.
@@ -107,42 +101,25 @@ impl ServeSim {
                 &self.spec.plan,
                 self.spec.traced,
             );
-            let governor = ep.driver.take_pressure_governor();
             if let Some(tr) = ep.tracer() {
                 tracers.push((raw, tr));
             }
-            match shared.register_tenant(
+            let now = ep.now();
+            let admitted = admit(
+                &mut shared,
+                &mut ep.driver,
                 tid,
                 espec.floor_pages,
                 espec.priority,
-                governor,
-                ep.tracer(),
-                ep.injector(),
-            ) {
-                Ok(()) => {
-                    emit(
-                        &ep.tracer(),
-                        ep.now(),
-                        TraceEvent::TenantAdmitted {
-                            tenant: raw,
-                            floor_pages: espec.floor_pages,
-                            priority: espec.priority,
-                        },
-                    );
-                    endpoints.push(Some(ep));
+                now,
+            );
+            endpoints.push(match admitted {
+                Ok(()) => Some(ep),
+                Err(e) => {
+                    errors.push((raw, e));
+                    None
                 }
-                Err((need, avail)) => {
-                    errors.push((
-                        raw,
-                        RunError::AdmissionDenied {
-                            tenant: raw,
-                            need,
-                            avail,
-                        },
-                    ));
-                    endpoints.push(None);
-                }
-            }
+            });
             ladders.push(DegradationLadder::new(match &self.spec.ladder {
                 Some(cfg) => cfg.clone(),
                 None => LadderConfig::default(),
@@ -154,40 +131,21 @@ impl ServeSim {
             let raw = u32::try_from(self.spec.endpoints.len()).unwrap_or(u32::MAX);
             let tid = TenantId(raw);
             let mut run = TenantRun::new(tid, bspec.clone(), self.costs.clone(), self.perf.clone());
-            let governor = run.driver.take_pressure_governor();
             if let Some(tr) = run.tracer() {
                 tracers.push((raw, tr));
             }
-            match shared.register_tenant(
+            let now = run.now();
+            let admitted = admit(
+                &mut shared,
+                &mut run.driver,
                 tid,
                 bspec.floor_pages,
                 bspec.priority,
-                governor,
-                run.tracer(),
-                run.injector(),
-            ) {
-                Ok(()) => {
-                    emit(
-                        &run.tracer(),
-                        run.now(),
-                        TraceEvent::TenantAdmitted {
-                            tenant: raw,
-                            floor_pages: bspec.floor_pages,
-                            priority: bspec.priority,
-                        },
-                    );
-                    bystander = Some(run);
-                }
-                Err((need, avail)) => {
-                    errors.push((
-                        raw,
-                        RunError::AdmissionDenied {
-                            tenant: raw,
-                            need,
-                            avail,
-                        },
-                    ));
-                }
+                now,
+            );
+            match admitted {
+                Ok(()) => bystander = Some(run),
+                Err(e) => errors.push((raw, e)),
             }
         }
 
@@ -237,7 +195,7 @@ impl ServeSim {
 
             if let Some(run) = bystander.as_mut() {
                 if !run.is_done() && run.error().is_none() {
-                    Self::bystander_slot(run, &mut shared);
+                    quota_slot(&mut shared, run);
                     if let Some(e) = run.error() {
                         errors.push((run.tid.raw(), e.clone()));
                     }
@@ -262,7 +220,7 @@ impl ServeSim {
                         Self::apply_transition(ep, from, to);
                         emit(
                             &ep.tracer(),
-                            ep.now(),
+                            ep.now().as_nanos(),
                             TraceEvent::DegradationTransition {
                                 endpoint: ep.tid.raw(),
                                 from,
@@ -289,7 +247,7 @@ impl ServeSim {
         if let Some(run) = bystander.as_mut() {
             let mut slots = 0u64;
             while !run.is_done() && run.error().is_none() && slots < MAX_DRAIN_SLOTS {
-                Self::bystander_slot(run, &mut shared);
+                quota_slot(&mut shared, run);
                 slots += 1;
             }
             if let Some(e) = run.error() {
@@ -381,31 +339,5 @@ impl ServeSim {
                 ServeLevel::Full | ServeLevel::Shed => {}
             }
         }
-    }
-
-    /// One bystander kernel slot (the scheduler's quota loop).
-    fn bystander_slot(run: &mut TenantRun, shared: &mut UmDriver) {
-        let (tid, now) = (run.tid, run.now());
-        let debt = open_slot(shared, &mut run.driver, tid, now);
-        run.advance_clock(debt);
-        let quota = u64::from(run.spec.priority);
-        let mut kernels = 0u64;
-        let mut units = 0u64;
-        while kernels < quota {
-            units += 1;
-            if units > MAX_UNITS_PER_SLOT {
-                break;
-            }
-            match run.step() {
-                StepOutcome::Ran { kernel } => {
-                    if kernel {
-                        kernels += 1;
-                    }
-                }
-                StepOutcome::Done | StepOutcome::Failed => break,
-            }
-        }
-        let now = run.now();
-        close_slot(shared, &mut run.driver, now);
     }
 }

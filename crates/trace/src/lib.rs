@@ -44,5 +44,5 @@ pub use event::{
     TraceRecord, WatchdogMode,
 };
 pub use report::TraceReport;
-pub use sink::{shared, ExportSink, NullSink, RingSink, SharedTracer, TraceSink, Tracer};
+pub use sink::{emit, shared, ExportSink, NullSink, RingSink, SharedTracer, TraceSink, Tracer};
 pub use timeline::{KernelTraceSummary, Timeline, CHAIN_DEPTH_BUCKETS};

@@ -276,6 +276,17 @@ pub fn shared(tracer: Tracer) -> SharedTracer {
     Rc::new(RefCell::new(tracer))
 }
 
+/// Emits `event` at virtual time `t` nanoseconds when a tracer is
+/// installed; an untraced layer pays one `None` branch. A free function
+/// over the field (not a method) so emit sites that hold other field
+/// borrows, such as the chain walk, can still reach the tracer.
+#[inline]
+pub fn emit(tracer: &Option<SharedTracer>, t: u64, event: TraceEvent) {
+    if let Some(tr) = tracer {
+        tr.borrow_mut().emit(t, event);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,6 +6,7 @@
 //! tenant's trace is byte-identical whether or not the ladder is
 //! defending the endpoints).
 
+use deepum::baselines::report::RunError;
 use deepum::mem::PAGE_SIZE;
 use deepum::sched::{JobKind, TenantSpec};
 use deepum::serve::{EndpointSpec, LadderConfig, LoadCurve, ServeOutcome, ServeSim, ServeSpec};
@@ -160,4 +161,67 @@ fn ladder_actions_never_perturb_the_bystander() {
         a, b,
         "bystander trace differs between ladder and control runs"
     );
+}
+
+/// An endpoint whose guaranteed floor cannot fit is refused before it
+/// serves anything, the same way a refused scheduler tenant is: a typed
+/// `AdmissionDenied` error and a `TenantDenied` event in its own trace.
+/// The admitted endpoint serves every request and the shared driver's
+/// invariants hold.
+#[test]
+fn refused_endpoint_is_typed_and_traced_and_the_other_serves() {
+    let device = 64 << 20;
+    let capacity = pages(device);
+    let costs = CostModel::v100_32gb()
+        .with_device_memory(device)
+        .with_host_memory(4 << 30);
+    let endpoint = |name: &str| {
+        EndpointSpec::new(name)
+            .weights(4 << 20)
+            .layers(2)
+            .tokens(2, 4)
+    };
+    let spec = ServeSpec::new()
+        .endpoint(endpoint("fits").floor_pages(capacity / 2))
+        .endpoint(endpoint("too-big").floor_pages(capacity))
+        .cycles(4)
+        .load(LoadCurve::new(2))
+        .ladder(None)
+        .traced();
+    let outcome = ServeSim::new(costs, PerfModel::v100(), spec).run();
+
+    assert_eq!(outcome.errors.len(), 1, "errors: {:?}", outcome.errors);
+    let (tid, err) = &outcome.errors[0];
+    assert_eq!(*tid, 1);
+    match err {
+        RunError::AdmissionDenied {
+            tenant,
+            need,
+            avail,
+        } => {
+            assert_eq!((*tenant, *need), (1, capacity));
+            assert_eq!(*avail, capacity - capacity / 2);
+        }
+        other => panic!("expected AdmissionDenied, got {other:?}"),
+    }
+
+    let trace = outcome
+        .tracers
+        .iter()
+        .find(|(tid, _)| *tid == 1)
+        .map(|(_, tr)| tr.borrow_mut().jsonl())
+        .expect("refused endpoint's tracer");
+    assert!(trace.contains("TenantDenied"), "trace: {trace}");
+    assert!(!trace.contains("TenantAdmitted"), "trace: {trace}");
+
+    let serving = outcome.report.serving.as_ref().expect("serving section");
+    assert_eq!(serving.endpoints.len(), 1);
+    let fits = &serving.endpoints[0];
+    assert_eq!(fits.name, "fits");
+    assert!(fits.requests > 0);
+    assert_eq!(fits.completed, fits.requests, "{fits:?}");
+    outcome
+        .validation
+        .clone()
+        .expect("shared driver invariants");
 }
