@@ -109,6 +109,11 @@ const CASES: &[(&str, &str, &str)] = &[
         "result-discard",
     ),
     (
+        "option_default.rs",
+        "crates/serve/src/fixture.rs",
+        "result-discard",
+    ),
+    (
         "hot_path_alloc.rs",
         "crates/gpu/src/engine.rs",
         "hot-path-alloc",
@@ -166,6 +171,18 @@ fn fail_fixtures_are_caught() {
             "fail/{file} analyzed as {as_path} should trigger {lint}, got: {violations:?}"
         );
     }
+}
+
+#[test]
+fn option_default_is_steered_to_a_match() {
+    let src = fixture("fail", "option_default.rs");
+    let violations = analyze_source("crates/serve/src/fixture.rs", &src, &Config::all());
+    assert!(
+        violations
+            .iter()
+            .any(|v| v.lint == "result-discard" && v.message.contains("`Option`")),
+        "the message must name the Option spelling, got: {violations:?}"
+    );
 }
 
 #[test]

@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 
 use deepum_core::ckpt::{CheckpointRing, Generation, RecoveryError, DEFAULT_RING_DEPTH};
 use deepum_core::recovery::{JournalEntry, LaunchJournal, RecoveryReport};
-use deepum_gpu::engine::{BackendError, EngineError, EngineSnapshot, GpuEngine, UmBackend};
+use deepum_gpu::engine::{BackendError, EngineError, GpuEngine, UmBackend};
 use deepum_gpu::fault::AccessKind;
 use deepum_gpu::kernel::{BlockAccess, KernelLaunch};
 use deepum_mem::{u64_from_usize, BlockNum, ByteRange, PageMask, UmAddr, PAGE_SIZE};
@@ -139,7 +139,8 @@ type TensorMap = BTreeMap<TensorId, (PtBlockId, ByteRange)>;
 type GatherCache = BTreeMap<TensorId, Vec<BlockAccess>>;
 
 /// Everything the run loop mutates that lives *outside* the backend,
-/// runtime, allocator, and engine: the loop half of a checkpoint image.
+/// runtime, and allocator: the loop half of a checkpoint image. The GPU
+/// engine holds no state between kernels, so it has no part in it.
 struct LoopState {
     clock: SimClock,
     energy: EnergyMeter,
@@ -170,20 +171,11 @@ struct LoopState {
 /// of the stored image is always caught by the envelope checksum at
 /// restore time. On a shared driver the backend image is tenant-scoped:
 /// restoring it touches only the tenant's own blocks.
-fn encode_checkpoint(
-    st: &LoopState,
-    backend: &[u8],
-    runtime: &[u8],
-    allocator: &[u8],
-    engine: &EngineSnapshot,
-) -> Vec<u8> {
+fn encode_checkpoint(st: &LoopState, backend: &[u8], runtime: &[u8], allocator: &[u8]) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     w.blob(backend);
     w.blob(runtime);
     w.blob(allocator);
-    let mut eng = Vec::with_capacity(EngineSnapshot::ENCODED_LEN);
-    engine.encode_into(&mut eng);
-    w.blob(&eng);
     encode_loop_state(st, &mut w);
     w.finish()
 }
@@ -333,13 +325,11 @@ fn try_restore_image<B: UmBackend>(
     backend: &mut B,
     runtime: &mut CudaRuntime,
     allocator: &mut CachingAllocator,
-    engine: &mut GpuEngine,
 ) -> Result<LoopState, String> {
     let mut r = SnapshotReader::new(image).map_err(|e| e.to_string())?;
     let backend_image = r.blob().map_err(|e| e.to_string())?;
     let runtime_image = r.blob().map_err(|e| e.to_string())?;
     let allocator_image = r.blob().map_err(|e| e.to_string())?;
-    let engine_image = r.blob().map_err(|e| e.to_string())?;
     backend
         .restore_state(backend_image)
         .map_err(|e| format!("backend restore failed: {e}"))?;
@@ -349,8 +339,6 @@ fn try_restore_image<B: UmBackend>(
     allocator
         .restore(allocator_image)
         .map_err(|e| format!("allocator restore failed: {e}"))?;
-    let engine_snap = EngineSnapshot::decode_from(engine_image)?;
-    engine.restore(&engine_snap);
     let state = decode_loop_state(&mut r).map_err(|e| e.to_string())?;
     r.finish().map_err(|e| e.to_string())?;
     backend
@@ -712,13 +700,8 @@ impl UmStepper {
         // component images — so crash-free traces stay byte-stable.
         let section_bytes =
             u64_from_usize(backend_image.len() + runtime_image.len() + allocator_image.len());
-        let mut image = encode_checkpoint(
-            &self.st,
-            &backend_image,
-            &runtime_image,
-            &allocator_image,
-            &self.engine.snapshot(),
-        );
+        let mut image =
+            encode_checkpoint(&self.st, &backend_image, &runtime_image, &allocator_image);
         // A scheduled or sampled storage fault damages the image
         // *silently*, like a real torn write; nothing notices until a
         // restore validates the envelope.
@@ -800,12 +783,11 @@ impl UmStepper {
             ring,
             runtime,
             allocator,
-            engine,
             ..
         } = self;
         let restored = ring.restore_with(
             |generation| {
-                try_restore_image(&generation.image, backend, runtime, allocator, engine)
+                try_restore_image(&generation.image, backend, runtime, allocator)
                     .map(|state| (state, generation.journal_mark, generation.extra.clone()))
             },
             |index, _err| {

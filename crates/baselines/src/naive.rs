@@ -122,18 +122,16 @@ impl LaunchObserver for NaiveUm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepum_gpu::fault::{AccessKind, SmId};
+    use deepum_gpu::fault::AccessKind;
 
     #[test]
     fn naive_um_never_prefetches() {
         let mut b = NaiveUm::new(CostModel::v100_32gb());
-        let faults: Vec<FaultEntry> = (0..64)
-            .map(|i| FaultEntry {
-                page: BlockNum::new(0).page(i),
-                kind: AccessKind::Read,
-                sm: SmId(0),
-            })
-            .collect();
+        let faults: Vec<FaultEntry> = vec![FaultEntry {
+            block: BlockNum::new(0),
+            pages: PageMask::first_n(64),
+            kind: AccessKind::Read,
+        }];
         let stall = b.handle_faults(Ns::ZERO, &faults).expect("faults handled");
         assert!(stall > Ns::ZERO);
         assert_eq!(b.counters().pages_prefetched, 0);
@@ -143,13 +141,11 @@ mod tests {
     #[test]
     fn release_clears_residency() {
         let mut b = NaiveUm::new(CostModel::v100_32gb());
-        let faults: Vec<FaultEntry> = (0..64)
-            .map(|i| FaultEntry {
-                page: BlockNum::new(0).page(i),
-                kind: AccessKind::Read,
-                sm: SmId(0),
-            })
-            .collect();
+        let faults: Vec<FaultEntry> = vec![FaultEntry {
+            block: BlockNum::new(0),
+            pages: PageMask::first_n(64),
+            kind: AccessKind::Read,
+        }];
         b.handle_faults(Ns::ZERO, &faults).expect("faults handled");
         assert_eq!(b.um().resident_pages(), 64);
         b.on_um_range_released(
@@ -167,13 +163,11 @@ mod tests {
             ExecId(0),
             &KernelLaunch::new("k", &[], vec![], Ns::from_micros(1)),
         );
-        let faults: Vec<FaultEntry> = (0..64)
-            .map(|i| FaultEntry {
-                page: BlockNum::new(3).page(i),
-                kind: AccessKind::Read,
-                sm: SmId(0),
-            })
-            .collect();
+        let faults: Vec<FaultEntry> = vec![FaultEntry {
+            block: BlockNum::new(3),
+            pages: PageMask::first_n(64),
+            kind: AccessKind::Read,
+        }];
         b.handle_faults(Ns::ZERO, &faults).expect("faults handled");
         let bytes = b.snapshot_state().expect("naive um snapshots");
 

@@ -199,11 +199,17 @@ pub struct TenantReport {
 
 /// Per-endpoint section of an inference-serving run report: request
 /// outcomes, virtual-latency percentiles, and degradation-ladder
-/// activity for one model endpoint.
+/// activity for one model endpoint. Every endpoint of the spec has one,
+/// admitted or not; a refused endpoint's counts are all zero.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EndpointReport {
     /// Human-readable endpoint name.
     pub name: String,
+    /// Whether admission control let the endpoint serve.
+    pub admitted: bool,
+    /// Terminal error, if the endpoint was refused or died mid-run.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub error: Option<String>,
     /// Requests that arrived over the run (including shed ones).
     pub requests: u64,
     /// Requests that ran to completion (on time or late).
@@ -233,7 +239,8 @@ pub struct EndpointReport {
 /// pre-serving builds.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServingReport {
-    /// Per-endpoint outcomes, in tenant-id order.
+    /// Per-endpoint outcomes, one per endpoint of the spec, in tenant-id
+    /// order.
     pub endpoints: Vec<EndpointReport>,
     /// Requests arrived across all endpoints.
     pub total_requests: u64,

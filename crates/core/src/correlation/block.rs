@@ -57,7 +57,6 @@ pub struct BlockCorrelationTable {
     num_succs: usize,
     start: Option<BlockNum>,
     end: Option<BlockNum>,
-    lookups: u64,
     updates: u64,
 }
 
@@ -78,7 +77,6 @@ impl BlockCorrelationTable {
             num_succs,
             start: None,
             end: None,
-            lookups: 0,
             updates: 0,
         }
     }
@@ -132,11 +130,6 @@ impl BlockCorrelationTable {
             .unwrap_or(&[])
     }
 
-    /// Records a lookup for instrumentation (the driver counts these).
-    pub fn note_lookup(&mut self) {
-        self.lookups += 1;
-    }
-
     /// Sets the start block (first faulted block after the kernel
     /// transition into this execution ID).
     pub fn set_start(&mut self, block: BlockNum) {
@@ -185,7 +178,6 @@ impl BlockCorrelationTable {
                 w.block(b);
             }
         }
-        w.u64(self.lookups);
         w.u64(self.updates);
         for row in &self.rows {
             w.u64(deepum_mem::u64_from_usize(row.ways.len()));
@@ -218,7 +210,6 @@ impl BlockCorrelationTable {
         }
         let start = if r.bool()? { Some(r.block()?) } else { None };
         let end = if r.bool()? { Some(r.block()?) } else { None };
-        let lookups = r.u64()?;
         let updates = r.u64()?;
         let mut rows = Vec::with_capacity(num_rows);
         for _ in 0..num_rows {
@@ -251,7 +242,6 @@ impl BlockCorrelationTable {
             num_succs,
             start,
             end,
-            lookups,
             updates,
         })
     }

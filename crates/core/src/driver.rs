@@ -34,7 +34,6 @@ use deepum_sim::time::Ns;
 use deepum_trace::{emit, InjectKind, PressureLevel, SharedTracer, TraceEvent, WatchdogMode};
 use deepum_um::driver::UmDriver;
 use deepum_um::hints::Advice;
-use deepum_um::scratch::group_faults_into;
 
 use crate::chain::{ChainStep, ChainWalk};
 use crate::config::DeepumConfig;
@@ -95,12 +94,6 @@ pub struct DeepumDriver {
     /// re-discover the same blocks, and duplicate commands would starve
     /// the far look-ahead out of the bounded queue.
     pub(crate) enqueued: DenseBlockSet,
-    /// Reused per-drain fault-group buffer (block, pages); contents are
-    /// meaningless between drains, only the capacity persists.
-    pub(crate) fault_groups: Vec<(BlockNum, PageMask)>,
-    /// Reused per-drain (block, recorded predecessor) buffer; like
-    /// `fault_groups`, only its capacity outlives a drain.
-    pub(crate) fault_pairs: Vec<(BlockNum, Option<BlockNum>)>,
     pub(crate) predicted_window: VecDeque<(u64, BlockNum)>,
     pub(crate) kernel_seq: u64,
 
@@ -177,8 +170,6 @@ impl DeepumDriver {
             chain: None,
             prefetch_q,
             enqueued: DenseBlockSet::new(),
-            fault_groups: Vec::new(),
-            fault_pairs: Vec::new(),
             predicted_window: VecDeque::new(),
             kernel_seq: 0,
             h2d_debt: Ns::ZERO,
@@ -705,16 +696,14 @@ impl UmBackend for DeepumDriver {
 
     fn handle_faults(&mut self, now: Ns, faults: &[FaultEntry]) -> Result<Ns, BackendError> {
         self.trace_now = now;
-        let mut groups = std::mem::take(&mut self.fault_groups);
-        group_faults_into(faults, &mut groups);
 
         // Injected uncorrectable ECC: the sampled victim is one of this
         // drain's faulted blocks, whose table row is being written right
         // now. Correlation state is advisory, so the driver does not
         // crash — it poisons the tables and degrades to demand paging.
-        if !groups.is_empty() && !self.poisoned {
+        if !faults.is_empty() && !self.poisoned {
             let ecc_hit = match &self.injector {
-                Some(inj) => inj.borrow_mut().roll_ecc(groups.len()),
+                Some(inj) => inj.borrow_mut().roll_ecc(faults.len()),
                 None => None,
             };
             if let Some(idx) = ecc_hit {
@@ -725,12 +714,12 @@ impl UmBackend for DeepumDriver {
                         kind: InjectKind::EccError,
                     },
                 );
-                if let Some(&(block, _)) = groups.get(idx) {
+                if let Some(f) = faults.get(idx) {
                     emit(
                         &self.tracer,
                         now.as_nanos(),
                         TraceEvent::TablesPoisoned {
-                            block: block.index(),
+                            block: f.block.index(),
                         },
                     );
                 }
@@ -742,20 +731,14 @@ impl UmBackend for DeepumDriver {
         // block-successor pairs from the fault stream. Poisoned tables
         // stay dead — learning into them would fake integrity.
         if self.poisoned {
-            groups.clear();
-            self.fault_groups = groups;
             return self.um.handle_faults(now, faults);
         }
         if let Some(cur) = self.current_exec {
-            self.ensure_block_table(cur);
-            // First pass: footprints and injected pair-drop rolls. The
-            // table borrow below locks `self`, so every decision that
-            // needs other fields is made up front.
-            let mut pairs = std::mem::take(&mut self.fault_pairs);
-            for (block, mask) in &groups {
-                self.footprints.record(*block, mask);
+            for f in faults {
+                let block = f.block;
+                self.footprints.record(block, &f.pages);
                 let recorded = match self.prev_fault_block {
-                    Some(prev) if prev != *block => {
+                    Some(prev) if prev != block => {
                         // Injected correlation-table entry drop: the pair
                         // record is lost before it reaches the table, so
                         // the prefetcher must live with holes in the
@@ -772,39 +755,26 @@ impl UmBackend for DeepumDriver {
                     }
                     _ => None,
                 };
-                pairs.push((*block, recorded));
-                self.prev_fault_block = Some(*block);
-                self.last_fault_block = Some(*block);
-            }
-            let set_start = match pairs.first() {
-                Some(&(first, _)) if self.first_fault_pending => {
-                    self.first_fault_pending = false;
-                    Some(first)
+                self.prev_fault_block = Some(block);
+                self.last_fault_block = Some(block);
+                let set_start = std::mem::take(&mut self.first_fault_pending);
+                let table = self.ensure_block_table(cur);
+                if set_start {
+                    table.set_start(block);
                 }
-                _ => None,
-            };
-            let mut recorded_pairs = 0u64;
-            let table = self.ensure_block_table(cur);
-            if let Some(start) = set_start {
-                table.set_start(start);
-            }
-            for &(block, prev) in &pairs {
-                if let Some(prev) = prev {
+                if let Some(prev) = recorded {
                     table.record_pair(prev, block);
-                    recorded_pairs += 1;
+                    self.local.block_table_updates += 1;
                 }
             }
-            self.local.block_table_updates += recorded_pairs;
-            pairs.clear();
-            self.fault_pairs = pairs;
 
             // Prefetching thread: chaining restarts at every new fault,
             // reusing the one walk's storage.
             if self.prefetch_active() {
-                if let Some(&(block, _)) = groups.last() {
+                if let Some(last) = faults.last() {
                     match self.chain.as_mut() {
-                        Some(walk) => walk.restart(cur, self.history, block),
-                        None => self.chain = Some(ChainWalk::new(cur, self.history, block)),
+                        Some(walk) => walk.restart(cur, self.history, last.block),
+                        None => self.chain = Some(ChainWalk::new(cur, self.history, last.block)),
                     }
                     self.local.chain_walks += 1;
                     self.pump_chain();
@@ -814,8 +784,6 @@ impl UmBackend for DeepumDriver {
 
         // Fault handling thread: the fault queue has the highest
         // priority; hand the batch to the NVIDIA pipeline synchronously.
-        groups.clear();
-        self.fault_groups = groups;
         self.um.handle_faults(now, faults)
     }
 
@@ -922,7 +890,7 @@ impl UmBackend for DeepumDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepum_gpu::fault::{AccessKind, SmId};
+    use deepum_gpu::fault::AccessKind;
     use deepum_mem::{UmAddr, BLOCK_SIZE};
 
     fn driver(capacity_blocks: u64, cfg: DeepumConfig) -> DeepumDriver {
@@ -935,13 +903,11 @@ mod tests {
     }
 
     fn faults(block: u64, pages: core::ops::Range<usize>) -> Vec<FaultEntry> {
-        pages
-            .map(|i| FaultEntry {
-                page: BlockNum::new(block).page(i),
-                kind: AccessKind::Read,
-                sm: SmId(0),
-            })
-            .collect()
+        vec![FaultEntry {
+            block: BlockNum::new(block),
+            pages: PageMask::from_range(pages),
+            kind: AccessKind::Read,
+        }]
     }
 
     /// Simulates `iters` repetitions of a two-kernel loop where kernel A
@@ -1024,14 +990,11 @@ mod tests {
                 for b in [2 * ki as u64, 2 * ki as u64 + 1] {
                     let miss = d.resident_miss(BlockNum::new(b), &full);
                     if !miss.is_empty() {
-                        let entries: Vec<FaultEntry> = miss
-                            .iter_ones()
-                            .map(|i| FaultEntry {
-                                page: BlockNum::new(b).page(i),
-                                kind: AccessKind::Read,
-                                sm: SmId(0),
-                            })
-                            .collect();
+                        let entries = [FaultEntry {
+                            block: BlockNum::new(b),
+                            pages: miss,
+                            kind: AccessKind::Read,
+                        }];
                         d.handle_faults(now, &entries).expect("faults handled");
                     }
                     d.touch(now, BlockNum::new(b), &full);
@@ -1130,14 +1093,11 @@ mod tests {
             for b in [base + 2 * ki as u64, base + 2 * ki as u64 + 1] {
                 let miss = d.resident_miss(BlockNum::new(b), &full);
                 if !miss.is_empty() {
-                    let entries: Vec<FaultEntry> = miss
-                        .iter_ones()
-                        .map(|i| FaultEntry {
-                            page: BlockNum::new(b).page(i),
-                            kind: AccessKind::Read,
-                            sm: SmId(0),
-                        })
-                        .collect();
+                    let entries = [FaultEntry {
+                        block: BlockNum::new(b),
+                        pages: miss,
+                        kind: AccessKind::Read,
+                    }];
                     d.handle_faults(*now, &entries).expect("faults handled");
                 }
                 d.touch(*now, BlockNum::new(b), &full);

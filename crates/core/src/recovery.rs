@@ -340,7 +340,7 @@ pub fn restore_deepum(d: &mut DeepumDriver, bytes: &[u8]) -> Result<(), Snapshot
 mod tests {
     use super::*;
     use deepum_gpu::engine::UmBackend;
-    use deepum_gpu::fault::{AccessKind, FaultEntry, SmId};
+    use deepum_gpu::fault::{AccessKind, FaultEntry};
     use deepum_gpu::kernel::KernelLaunch;
     use deepum_mem::{BlockNum, PageMask, BLOCK_SIZE};
     use deepum_runtime::exec_table::ExecId;
@@ -356,13 +356,11 @@ mod tests {
     }
 
     fn fault_block(d: &mut DeepumDriver, now: Ns, block: u64) {
-        let entries: Vec<FaultEntry> = (0..64)
-            .map(|i| FaultEntry {
-                page: BlockNum::new(block).page(i),
-                kind: AccessKind::Read,
-                sm: SmId(0),
-            })
-            .collect();
+        let entries: Vec<FaultEntry> = vec![FaultEntry {
+            block: BlockNum::new(block),
+            pages: PageMask::first_n(64),
+            kind: AccessKind::Read,
+        }];
         d.handle_faults(now, &entries).expect("faults handled");
     }
 
@@ -521,13 +519,11 @@ mod tests {
         for i in 0..8u64 {
             d.on_kernel_launch(now, ExecId(0), &k);
             let b = i % 3;
-            let entries: Vec<FaultEntry> = (0..512)
-                .map(|p| FaultEntry {
-                    page: BlockNum::new(b).page(p),
-                    kind: AccessKind::Read,
-                    sm: SmId(0),
-                })
-                .collect();
+            let entries: Vec<FaultEntry> = vec![FaultEntry {
+                block: BlockNum::new(b),
+                pages: PageMask::first_n(512),
+                kind: AccessKind::Read,
+            }];
             d.handle_faults(now, &entries).expect("faults handled");
             d.touch(now, BlockNum::new(b), &PageMask::full());
             d.kernel_finished(now);

@@ -4,11 +4,13 @@
 //! driver), reproducing the GPU-side fault protocol:
 //!
 //! 1. the kernel touches a UM block; pages without a valid device mapping
-//!    raise faults into the [`FaultBuffer`];
-//! 2. faulting SMs stall (their TLBs lock), so the GPU only accumulates a
-//!    bounded batch of fault entries before the driver must intervene;
-//! 3. the driver drains the buffer, migrates pages, sends the replay
-//!    signal; the engine charges the handling time as kernel stall;
+//!    fault;
+//! 2. faulting accesses stall, so the GPU only accumulates a bounded batch
+//!    of faulted pages before the driver must intervene: one round hands
+//!    the backend one [`FaultEntry`] holding the block's first
+//!    `batch_limit` missing pages;
+//! 3. the driver migrates the pages and sends the replay signal; the
+//!    engine charges the handling time as kernel stall;
 //! 4. compute proceeds; background migrations (prefetches issued by the
 //!    driver) overlap with compute via [`UmBackend::overlap_compute`].
 //!
@@ -25,7 +27,7 @@ use deepum_trace::{InjectKind, PressureLevel, SharedTracer, TraceEvent};
 
 use core::fmt;
 
-use crate::fault::{FaultBuffer, FaultEntry, SmId};
+use crate::fault::FaultEntry;
 use crate::kernel::KernelLaunch;
 
 /// Failure surfaced by a [`UmBackend`] while draining a fault batch.
@@ -129,6 +131,11 @@ pub trait UmBackend {
     /// Returns the stall time observed by the GPU (fault handling is on
     /// the critical path). After this call every faulted page must be
     /// resident.
+    ///
+    /// Each entry is one block's deduplicated pages, and a batch names
+    /// each block at most once. The engine always passes a single entry;
+    /// multi-entry batches (one entry per distinct block) are handled in
+    /// order, as one driver pass.
     ///
     /// # Errors
     ///
@@ -273,9 +280,9 @@ pub struct KernelRunStats {
     pub compute: Ns,
     /// Fault-handling stall charged.
     pub stall: Ns,
-    /// Page-fault entries delivered to the driver.
+    /// Faulted pages delivered to the driver.
     pub faults: u64,
-    /// Fault-buffer drains (handler invocations).
+    /// Fault batches delivered (handler invocations).
     pub fault_batches: u64,
 }
 
@@ -294,58 +301,6 @@ impl KernelRunStats {
     }
 }
 
-/// The engine-side slice of a run checkpoint: the SM round-robin cursor
-/// and the fault buffer's lifetime counters. Captured at kernel
-/// boundaries, where the fault buffer is always empty, so buffered
-/// entries need no snapshotting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EngineSnapshot {
-    next_sm: u16,
-    total_pushed: u64,
-    total_dropped: u64,
-}
-
-impl EngineSnapshot {
-    /// Appends the snapshot's fields to a binary checkpoint image.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.next_sm.to_le_bytes());
-        out.extend_from_slice(&self.total_pushed.to_le_bytes());
-        out.extend_from_slice(&self.total_dropped.to_le_bytes());
-    }
-
-    /// Number of bytes [`Self::encode_into`] appends.
-    pub const ENCODED_LEN: usize = 2 + 8 + 8;
-
-    /// Decodes a snapshot encoded by [`Self::encode_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when `bytes` is shorter than
-    /// [`Self::ENCODED_LEN`].
-    pub fn decode_from(bytes: &[u8]) -> Result<Self, String> {
-        if bytes.len() < Self::ENCODED_LEN {
-            // deepum-tidy: allow(hot-path-alloc) -- error formatting on
-            // the cold checkpoint-restore path, never during a drain.
-            return Err(format!(
-                "engine snapshot truncated: {} of {} bytes",
-                bytes.len(),
-                Self::ENCODED_LEN
-            ));
-        }
-        let mut sm = [0u8; 2];
-        sm.copy_from_slice(&bytes[0..2]);
-        let mut a = [0u8; 8];
-        a.copy_from_slice(&bytes[2..10]);
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&bytes[10..18]);
-        Ok(EngineSnapshot {
-            next_sm: u16::from_le_bytes(sm),
-            total_pushed: u64::from_le_bytes(a),
-            total_dropped: u64::from_le_bytes(b),
-        })
-    }
-}
-
 /// The simulated GPU front end.
 ///
 /// # Example
@@ -354,52 +309,35 @@ impl EngineSnapshot {
 /// [`UmBackend`] implementation, typically `deepum_um::UmDriver`.
 #[derive(Debug)]
 pub struct GpuEngine {
-    fault_buffer: FaultBuffer,
-    num_sms: u16,
-    next_sm: u16,
     demand_batch: usize,
     injector: Option<SharedInjector>,
     tracer: Option<SharedTracer>,
     validate_after_drain: bool,
-    scratch: Vec<FaultEntry>,
 }
 
 impl GpuEngine {
-    /// V100 streaming-multiprocessor count.
-    pub const V100_SMS: u16 = 80;
-
-    /// Pages the GPU accumulates before stalled SMs force a handler pass.
-    /// Small relative to the buffer capacity: faulting warps stall quickly,
-    /// so hardware delivers faults in modest groups.
+    /// Pages the GPU accumulates before stalled accesses force a handler
+    /// pass. Faulting warps stall quickly, so hardware delivers faults in
+    /// modest groups.
     pub const DEFAULT_DEMAND_BATCH: usize = 256;
 
     /// Creates an engine with V100-like parameters.
     pub fn new() -> Self {
-        Self::with_params(
-            FaultBuffer::default(),
-            Self::V100_SMS,
-            Self::DEFAULT_DEMAND_BATCH,
-        )
+        Self::with_params(Self::DEFAULT_DEMAND_BATCH)
     }
 
-    /// Creates an engine with explicit fault buffer, SM count, and demand
-    /// batch size.
+    /// Creates an engine with an explicit demand batch size.
     ///
     /// # Panics
     ///
-    /// Panics if `num_sms` or `demand_batch` is zero.
-    pub fn with_params(fault_buffer: FaultBuffer, num_sms: u16, demand_batch: usize) -> Self {
-        assert!(num_sms > 0, "GPU needs at least one SM");
+    /// Panics if `demand_batch` is zero.
+    pub fn with_params(demand_batch: usize) -> Self {
         assert!(demand_batch > 0, "demand batch must be positive");
         GpuEngine {
-            fault_buffer,
-            num_sms,
-            next_sm: 0,
             demand_batch,
             injector: None,
             tracer: None,
             validate_after_drain: false,
-            scratch: Vec::new(),
         }
     }
 
@@ -421,35 +359,6 @@ impl GpuEngine {
     /// Off by default (it walks the backend's full block map).
     pub fn set_validate_after_drain(&mut self, on: bool) {
         self.validate_after_drain = on;
-    }
-
-    /// Lifetime page-fault entries accepted by the fault buffer.
-    pub fn total_faults(&self) -> u64 {
-        self.fault_buffer.total_pushed()
-    }
-
-    /// Captures the engine state a recovery checkpoint needs. Call only
-    /// at kernel boundaries (the fault buffer must be drained).
-    pub fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot {
-            next_sm: self.next_sm,
-            total_pushed: self.fault_buffer.total_pushed(),
-            total_dropped: self.fault_buffer.total_dropped(),
-        }
-    }
-
-    /// Restores state captured by [`GpuEngine::snapshot`], dropping any
-    /// buffered fault entries (they died with the device).
-    pub fn restore(&mut self, snap: &EngineSnapshot) {
-        self.next_sm = snap.next_sm;
-        self.fault_buffer
-            .reset_for_restore(snap.total_pushed, snap.total_dropped);
-    }
-
-    fn next_sm(&mut self) -> SmId {
-        let sm = SmId(self.next_sm);
-        self.next_sm = (self.next_sm + 1) % self.num_sms;
-        sm
     }
 
     /// Executes one kernel to completion against `backend`, advancing
@@ -482,34 +391,33 @@ impl GpuEngine {
 
         for (i, access) in kernel.accesses.iter().enumerate() {
             // Resolve residency for this access; each round models the
-            // stalled SMs delivering a bounded batch of fault entries.
+            // stalled accesses delivering a bounded batch of faulted pages.
             loop {
                 let miss = backend.resident_miss(access.block, &access.pages);
                 if miss.is_empty() {
                     break;
                 }
                 let before = miss.count();
-                // A fault storm shrinks the batch the stalled SMs can
+                // A fault storm shrinks the batch the stalled accesses can
                 // deliver before the handler must run.
                 let batch_limit = match &self.injector {
                     Some(inj) => inj.borrow_mut().effective_fault_batch(self.demand_batch),
                     None => self.demand_batch,
                 };
-                for idx in miss.iter_ones().take(batch_limit) {
-                    let sm = self.next_sm();
-                    self.fault_buffer.push(FaultEntry {
-                        page: access.block.page(idx),
-                        kind: access.kind,
-                        sm,
-                    });
+                let mut pages = miss;
+                if before > batch_limit {
+                    pages = PageMask::empty();
+                    for idx in miss.iter_ones().take(batch_limit) {
+                        pages.set(idx);
+                    }
                 }
-                let GpuEngine {
-                    fault_buffer,
-                    scratch,
-                    ..
-                } = self;
-                fault_buffer.drain_into(scratch);
-                stats.faults += scratch.len() as u64;
+                let batch = FaultEntry {
+                    block: access.block,
+                    pages,
+                    kind: access.kind,
+                };
+                let entries = pages.count_u64();
+                stats.faults += entries;
                 stats.fault_batches += 1;
                 if let Some(tr) = &self.tracer {
                     let mut tr = tr.borrow_mut();
@@ -523,12 +431,10 @@ impl GpuEngine {
                     }
                     tr.emit(
                         clock.now().as_nanos(),
-                        TraceEvent::FaultBufferDrain {
-                            entries: self.scratch.len() as u64,
-                        },
+                        TraceEvent::FaultBufferDrain { entries },
                     );
                 }
-                let stall = backend.handle_faults(clock.now(), &self.scratch)?;
+                let stall = backend.handle_faults(clock.now(), core::slice::from_ref(&batch))?;
                 clock.advance(stall);
                 energy.accumulate(PowerState::Transfer, stall);
                 stats.stall += stall;
@@ -627,13 +533,15 @@ mod tests {
         }
 
         fn handle_faults(&mut self, _now: Ns, faults: &[FaultEntry]) -> Result<Ns, BackendError> {
+            let mut pages = 0;
             for f in faults {
                 self.resident
-                    .entry(f.page.block())
+                    .entry(f.block)
                     .or_insert_with(PageMask::empty)
-                    .set(f.page.index_in_block());
+                    .union_with(&f.pages);
+                pages += f.pages.count_u64();
             }
-            Ok(Ns::from_micros(faults.len() as u64))
+            Ok(Ns::from_micros(pages))
         }
 
         fn touch(&mut self, _now: Ns, _block: BlockNum, pages: &PageMask) {
@@ -701,7 +609,7 @@ mod tests {
 
     #[test]
     fn demand_batch_bounds_each_handler_pass() {
-        let mut engine = GpuEngine::with_params(FaultBuffer::new(4096), 4, 64);
+        let mut engine = GpuEngine::with_params(64);
         let mut clock = SimClock::new();
         let mut backend = ToyBackend::default();
         let mut energy = EnergyMeter::new();
@@ -755,7 +663,7 @@ mod tests {
             storm_duration_drains: u32::MAX,
             ..InjectionPlan::default()
         };
-        let mut engine = GpuEngine::with_params(FaultBuffer::new(4096), 4, 64);
+        let mut engine = GpuEngine::with_params(64);
         engine.set_injector(plan.build_shared());
         let mut clock = SimClock::new();
         let mut backend = ToyBackend::default();
@@ -890,13 +798,5 @@ mod tests {
             EngineError::Backend(BackendError::CapacityExceeded { .. })
         ));
         assert!(err.to_string().contains("capacity"));
-    }
-
-    #[test]
-    fn sm_ids_round_robin() {
-        let mut engine = GpuEngine::with_params(FaultBuffer::new(16), 2, 16);
-        assert_eq!(engine.next_sm(), SmId(0));
-        assert_eq!(engine.next_sm(), SmId(1));
-        assert_eq!(engine.next_sm(), SmId(0));
     }
 }

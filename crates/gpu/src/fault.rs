@@ -1,32 +1,17 @@
-//! The GPU fault buffer and fault records.
+//! Fault records: what the GPU hands the driver per handler pass.
 //!
 //! "A fault buffer is a circular queue in the NVIDIA GPU. It stores
 //! faulted access information. The GPU can generate multiple faults
 //! concurrently, and there can be multiple fault entries for the same page
 //! in the fault buffer." (Section 2.3.) The driver drains this buffer,
-//! deduplicates entries, and groups them by UM block.
+//! deduplicates entries, and groups them by UM block; DeepUM only ever
+//! consumes that per-block result. The simulated device delivers the
+//! grouped form directly: one [`FaultEntry`] is one block's batch of
+//! distinct missing pages, so there is no per-page queue to drain and
+//! regroup.
 
-use core::fmt;
-use std::collections::VecDeque;
-
-use deepum_mem::PageNum;
+use deepum_mem::{BlockNum, PageMask};
 use serde::{Deserialize, Serialize};
-
-/// Identifier of a streaming multiprocessor (SM).
-///
-/// Each SM has its own TLB; while any fault from an SM is outstanding,
-/// that TLB is locked and the SM cannot translate new addresses. The
-/// engine uses `SmId` to attribute faults and model that serialization.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
-pub struct SmId(pub u16);
-
-impl fmt::Display for SmId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SM{}", self.0)
-    }
-}
 
 /// How a faulted access intended to use the page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -37,232 +22,28 @@ pub enum AccessKind {
     Write,
 }
 
-/// One record in the fault buffer: a page access that missed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct FaultEntry {
-    /// The page whose translation failed.
-    pub page: PageNum,
-    /// Read or write intent of the access.
-    pub kind: AccessKind,
-    /// SM that raised the fault.
-    pub sm: SmId,
-}
-
-/// The circular fault queue inside the GPU.
-///
-/// The buffer has a fixed capacity; entries pushed while it is full are
-/// dropped (the access simply faults again on replay, as on hardware).
-/// [`FaultBuffer::overflowed`] reports whether that happened since the
-/// last drain, which the engine uses to re-probe residency.
+/// One block's fault batch: the pages of `block` whose translation
+/// failed, already deduplicated.
 ///
 /// # Example
 ///
 /// ```
-/// use deepum_gpu::fault::{AccessKind, FaultBuffer, FaultEntry, SmId};
-/// use deepum_mem::PageNum;
+/// use deepum_gpu::fault::{AccessKind, FaultEntry};
+/// use deepum_mem::{BlockNum, PageMask};
 ///
-/// let mut buf = FaultBuffer::new(2);
-/// for i in 0..3 {
-///     buf.push(FaultEntry {
-///         page: PageNum::new(i),
-///         kind: AccessKind::Read,
-///         sm: SmId(0),
-///     });
-/// }
-/// assert!(buf.overflowed());
-/// assert_eq!(buf.drain().len(), 2);
-/// assert!(!buf.overflowed());
+/// let batch = FaultEntry {
+///     block: BlockNum::new(3),
+///     pages: PageMask::first_n(4),
+///     kind: AccessKind::Read,
+/// };
+/// assert_eq!(batch.pages.count(), 4);
 /// ```
-#[derive(Debug, Clone)]
-pub struct FaultBuffer {
-    entries: VecDeque<FaultEntry>,
-    capacity: usize,
-    overflowed: bool,
-    total_pushed: u64,
-    total_dropped: u64,
-}
-
-impl FaultBuffer {
-    /// Default capacity used by the simulated device; sized like the
-    /// replayable fault buffer of a Volta-class GPU.
-    pub const DEFAULT_CAPACITY: usize = 4096;
-
-    /// Creates a buffer holding at most `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "fault buffer capacity must be positive");
-        FaultBuffer {
-            entries: VecDeque::with_capacity(capacity.min(Self::DEFAULT_CAPACITY)),
-            capacity,
-            overflowed: false,
-            total_pushed: 0,
-            total_dropped: 0,
-        }
-    }
-
-    /// Appends a fault record; drops it (and sets the overflow flag) when
-    /// the buffer is full.
-    pub fn push(&mut self, entry: FaultEntry) {
-        if self.entries.len() >= self.capacity {
-            self.overflowed = true;
-            self.total_dropped += 1;
-            return;
-        }
-        self.total_pushed += 1;
-        self.entries.push_back(entry);
-    }
-
-    /// Removes and returns all buffered entries in arrival order, clearing
-    /// the overflow flag.
-    pub fn drain(&mut self) -> Vec<FaultEntry> {
-        self.overflowed = false;
-        self.entries.drain(..).collect()
-    }
-
-    /// Drains all buffered entries into `out`, clearing the overflow
-    /// flag. `out` is cleared first, so its allocation is reused across
-    /// drains — the engine calls this once per fault batch on the hot
-    /// path, where [`FaultBuffer::drain`] would allocate a fresh `Vec`
-    /// every time.
-    pub fn drain_into(&mut self, out: &mut Vec<FaultEntry>) {
-        self.overflowed = false;
-        out.clear();
-        out.extend(self.entries.drain(..));
-    }
-
-    /// Number of buffered entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no entries are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// True if at least one entry was dropped since the last drain.
-    pub fn overflowed(&self) -> bool {
-        self.overflowed
-    }
-
-    /// Total entries accepted over the buffer's lifetime.
-    pub fn total_pushed(&self) -> u64 {
-        self.total_pushed
-    }
-
-    /// Total entries dropped to overflow over the buffer's lifetime.
-    pub fn total_dropped(&self) -> u64 {
-        self.total_dropped
-    }
-
-    /// Recovery hook: drops any buffered entries (they died with the
-    /// device), clears the overflow flag, and rewinds the lifetime
-    /// counters to the checkpointed values.
-    pub(crate) fn reset_for_restore(&mut self, total_pushed: u64, total_dropped: u64) {
-        self.entries.clear();
-        self.overflowed = false;
-        self.total_pushed = total_pushed;
-        self.total_dropped = total_dropped;
-    }
-}
-
-impl Default for FaultBuffer {
-    fn default() -> Self {
-        FaultBuffer::new(Self::DEFAULT_CAPACITY)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn entry(i: u64) -> FaultEntry {
-        FaultEntry {
-            page: PageNum::new(i),
-            kind: AccessKind::Read,
-            sm: SmId((i % 4) as u16),
-        }
-    }
-
-    #[test]
-    fn push_and_drain_preserve_order() {
-        let mut buf = FaultBuffer::new(8);
-        for i in 0..5 {
-            buf.push(entry(i));
-        }
-        assert_eq!(buf.len(), 5);
-        let drained = buf.drain();
-        assert_eq!(drained.len(), 5);
-        assert!(drained.windows(2).all(|w| w[0].page < w[1].page));
-        assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn duplicates_are_allowed() {
-        let mut buf = FaultBuffer::new(8);
-        buf.push(entry(1));
-        buf.push(entry(1));
-        assert_eq!(buf.drain().len(), 2);
-    }
-
-    #[test]
-    fn overflow_drops_and_flags() {
-        let mut buf = FaultBuffer::new(3);
-        for i in 0..5 {
-            buf.push(entry(i));
-        }
-        assert!(buf.overflowed());
-        assert_eq!(buf.total_dropped(), 2);
-        assert_eq!(buf.drain().len(), 3);
-        assert!(!buf.overflowed());
-        assert_eq!(buf.total_pushed(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        let _ = FaultBuffer::new(0);
-    }
-
-    #[test]
-    fn drain_into_matches_drain() {
-        let mut a = FaultBuffer::new(8);
-        let mut b = FaultBuffer::new(8);
-        for i in 0..5 {
-            a.push(entry(i));
-            b.push(entry(i));
-        }
-        let mut out = Vec::new();
-        a.drain_into(&mut out);
-        assert_eq!(out, b.drain());
-        assert!(a.is_empty());
-    }
-
-    #[test]
-    fn drain_into_clears_previous_contents_and_reuses_capacity() {
-        let mut buf = FaultBuffer::new(8);
-        let mut out = vec![entry(99); 6];
-        let cap = out.capacity();
-        buf.push(entry(1));
-        buf.drain_into(&mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0], entry(1));
-        assert_eq!(out.capacity(), cap);
-    }
-
-    #[test]
-    fn drain_into_clears_overflow_flag() {
-        let mut buf = FaultBuffer::new(2);
-        for i in 0..4 {
-            buf.push(entry(i));
-        }
-        assert!(buf.overflowed());
-        let mut out = Vec::new();
-        buf.drain_into(&mut out);
-        assert!(!buf.overflowed());
-        assert_eq!(out.len(), 2);
-    }
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct FaultEntry {
+    /// The faulted UM block.
+    pub block: BlockNum,
+    /// The faulted pages within `block`.
+    pub pages: PageMask,
+    /// Read or write intent of the access.
+    pub kind: AccessKind,
 }

@@ -3,12 +3,12 @@
 //! The paper's platform is an NVIDIA Tesla V100. DeepUM interacts with the
 //! GPU through exactly three hardware mechanisms, all reproduced here:
 //!
-//! * the **fault buffer** — a circular queue in the GPU that accumulates
-//!   faulted-access records until the driver drains it
-//!   ([`fault::FaultBuffer`], Section 2.3);
-//! * the **page-fault / replay protocol** — an SM whose thread touches a
-//!   non-resident page stalls (its TLB locks) until the driver migrates the
-//!   page and sends a replay signal ([`engine::GpuEngine`], Section 2.2);
+//! * **fault batches** — the faulted accesses the driver drains from the
+//!   GPU's fault buffer, delivered already grouped by UM block
+//!   ([`fault::FaultEntry`], Section 2.3);
+//! * the **page-fault / replay protocol** — a faulting access stalls until
+//!   the driver migrates the page and sends a replay signal, charged as a
+//!   flat per-batch stall ([`engine::GpuEngine`], Section 2.2);
 //! * **kernel launches** — the unit of work whose page-access pattern
 //!   DeepUM's correlation tables memorize ([`kernel::KernelLaunch`]).
 //!
@@ -23,5 +23,5 @@ pub mod fault;
 pub mod kernel;
 
 pub use engine::{BackendError, EngineError, GpuEngine, KernelRunStats, UmBackend};
-pub use fault::{AccessKind, FaultBuffer, FaultEntry, SmId};
+pub use fault::{AccessKind, FaultEntry};
 pub use kernel::{BlockAccess, ExecSignature, KernelLaunch};

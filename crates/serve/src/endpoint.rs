@@ -361,6 +361,8 @@ impl EndpointRun {
         self.latencies.sort_unstable();
         EndpointReport {
             name: self.spec.name.clone(),
+            admitted: true,
+            error: self.error.as_ref().map(ToString::to_string),
             requests: self.requests,
             completed: self.completed,
             on_time: self.on_time,

@@ -30,7 +30,7 @@
 //! Everything is virtual-time and seeded: the same spec always
 //! produces the same outcome, byte for byte.
 
-use deepum_baselines::report::{RunError, RunReport, ServingReport};
+use deepum_baselines::report::{EndpointReport, RunError, RunReport, ServingReport};
 use deepum_mem::TenantId;
 use deepum_sched::{admit, close_slot, open_slot, quota_slot, TenantRun};
 use deepum_sim::costs::CostModel;
@@ -267,7 +267,13 @@ impl ServeSim {
         let mut total_missed = 0;
         let mut total_shed = 0;
         for (i, slot) in endpoints.iter_mut().enumerate() {
-            let Some(ep) = slot.as_mut() else { continue };
+            let Some(ep) = slot.as_mut() else {
+                let raw = u32::try_from(i).unwrap_or(u32::MAX);
+                let name = self.spec.endpoints.get(i).map_or("", |e| e.name.as_str());
+                let refusal = errors.iter().find(|(tid, _)| *tid == raw).map(|(_, e)| e);
+                endpoint_reports.push(refused_report(name, refusal));
+                continue;
+            };
             let (esc, deesc, worst) = ladders.get(i).map_or((0, 0, ServeLevel::Full), |l| {
                 (l.escalations, l.deescalations, l.worst)
             });
@@ -339,5 +345,26 @@ impl ServeSim {
                 ServeLevel::Full | ServeLevel::Shed => {}
             }
         }
+    }
+}
+
+/// The report of an endpoint refused at admission: every count is zero
+/// and `error` holds the typed refusal.
+fn refused_report(name: &str, refusal: Option<&RunError>) -> EndpointReport {
+    EndpointReport {
+        name: name.to_string(),
+        admitted: false,
+        error: refusal.map(ToString::to_string),
+        requests: 0,
+        completed: 0,
+        on_time: 0,
+        missed: 0,
+        shed: 0,
+        retries: 0,
+        p50_latency_ns: 0,
+        p99_latency_ns: 0,
+        escalations: 0,
+        deescalations: 0,
+        worst_level: ServeLevel::Full,
     }
 }

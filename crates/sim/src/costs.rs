@@ -49,8 +49,8 @@ pub struct CostModel {
     /// Fixed cost of one fault-handler invocation: interrupt delivery,
     /// fault-buffer fetch, and the replay signal (steps 1 and 9 of Fig. 3).
     pub fault_batch_overhead: Ns,
-    /// Per-fault-entry preprocessing: deduplication and UM-block grouping
-    /// (step 2 of Fig. 3).
+    /// Per-faulted-page preprocessing: the deduplication and UM-block
+    /// grouping of step 2 of Fig. 3, charged per page of a fault batch.
     pub fault_entry_cost: Ns,
     /// Per-faulted-UM-block bookkeeping in the handler loop (steps 3-8).
     pub fault_block_overhead: Ns,

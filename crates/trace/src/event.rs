@@ -135,12 +135,14 @@ pub enum TraceEvent {
         /// Fault-handling stall within the launch.
         stall_ns: u64,
     },
-    /// The fault buffer was drained into the UM driver.
+    /// One fault batch was drained into the UM driver.
     FaultBufferDrain {
-        /// Entries handed to the fault handler.
+        /// Faulted pages handed to the fault handler (the batch's
+        /// page count).
         entries: u64,
     },
-    /// SMs stalled on address translation while faults were serviced.
+    /// Faulting accesses stalled on address translation while the batch
+    /// was serviced.
     TlbStall {
         /// Stall duration charged to the clock.
         ns: u64,

@@ -33,7 +33,7 @@ use deepum_trace::{EvictReason, InjectKind, PressureLevel, SharedTracer, TraceEv
 use crate::evict::{victim_scan, LruMigrated, VictimPolicy};
 use crate::hints::{Advice, HintTable};
 use crate::pressure::{PressureConfig, PressureGovernor};
-use crate::scratch::{group_faults_into, DrainScratch, Victim};
+use crate::scratch::{DrainScratch, Victim};
 use crate::table::BlockTable;
 use crate::tenancy::{charge_order, Tenancy, TenantLedger};
 use crate::wear::DeviceWear;
@@ -482,7 +482,8 @@ impl UmDriver {
                 self.retire_device_page(now, rank)?;
             }
         }
-        self.counters.gpu_page_faults += u64_from_usize(faults.len());
+        let pages: u64 = faults.iter().map(|f| f.pages.count_u64()).sum();
+        self.counters.gpu_page_faults += pages;
         self.counters.fault_batches += 1;
 
         // A write fault to a ReadMostly block collapses the hint: the
@@ -492,14 +493,11 @@ impl UmDriver {
         // table is empty.
         if !self.hints.is_empty() {
             for f in faults {
-                if f.kind == AccessKind::Write {
-                    let block = f.page.block();
-                    if self.hints.collapse_read_mostly(block) {
-                        self.lru.clear_floor();
-                        if let Some(state) = self.blocks.get_mut(block) {
-                            let stale = state.host_valid.intersect(&state.resident);
-                            state.host_valid.subtract_with(&stale);
-                        }
+                if f.kind == AccessKind::Write && self.hints.collapse_read_mostly(f.block) {
+                    self.lru.clear_floor();
+                    if let Some(state) = self.blocks.get_mut(f.block) {
+                        let stale = state.host_valid.intersect(&state.resident);
+                        state.host_valid.subtract_with(&stale);
                     }
                 }
             }
@@ -507,19 +505,16 @@ impl UmDriver {
 
         // (1) fetch from the fault buffer + (9) replay signal.
         let mut cost = self.costs.fault_batch_overhead + self.costs.tlb_lock_stall;
-        // (2) preprocess: dedup + group by UM block, order preserved.
-        cost += self.costs.fault_entry_cost * u64_from_usize(faults.len());
-        let mut groups = std::mem::take(&mut self.scratch.groups);
-        group_faults_into(faults, &mut groups);
-        self.counters.faulted_blocks += u64_from_usize(groups.len());
+        // (2) preprocess: dedup + group by UM block, charged per faulted
+        // page; the batch arrives already in that per-block form.
+        cost += self.costs.fault_entry_cost * pages;
+        self.counters.faulted_blocks += u64_from_usize(faults.len());
 
         // (3)-(8) per faulted UM block.
-        for &(block, ref mask) in &groups {
+        for f in faults {
             cost += self.costs.fault_block_overhead;
-            cost += self.migrate_into_gpu(now, block, mask, MigratePath::Demand)?;
+            cost += self.migrate_into_gpu(now, f.block, &f.pages, MigratePath::Demand)?;
         }
-        groups.clear();
-        self.scratch.groups = groups;
         Ok(cost)
     }
 
@@ -1660,21 +1655,11 @@ impl deepum_gpu::engine::UmBackend for UmDriver {
     }
 }
 
-/// Deduplicates fault entries and groups them per UM block, preserving
-/// first-fault order of blocks (step 2 of Fig. 3). Allocating
-/// convenience wrapper around [`group_faults_into`]; the driver's drain
-/// path reuses a scratch buffer instead.
-pub fn group_faults(faults: &[FaultEntry]) -> Vec<(BlockNum, PageMask)> {
-    let mut groups = Vec::with_capacity(faults.len().min(8));
-    group_faults_into(faults, &mut groups);
-    groups
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepum_gpu::fault::{AccessKind, SmId};
-    use deepum_mem::{PageNum, UmAddr, BLOCK_SIZE, PAGE_SIZE};
+    use deepum_gpu::fault::AccessKind;
+    use deepum_mem::{UmAddr, BLOCK_SIZE, PAGE_SIZE};
 
     fn small_driver(capacity_blocks: u64) -> UmDriver {
         let costs = CostModel::v100_32gb().with_device_memory(capacity_blocks * BLOCK_SIZE as u64);
@@ -1682,13 +1667,11 @@ mod tests {
     }
 
     fn faults_for(block: u64, pages: core::ops::Range<usize>) -> Vec<FaultEntry> {
-        pages
-            .map(|i| FaultEntry {
-                page: BlockNum::new(block).page(i),
-                kind: AccessKind::Read,
-                sm: SmId(0),
-            })
-            .collect()
+        vec![FaultEntry {
+            block: BlockNum::new(block),
+            pages: PageMask::from_range(pages),
+            kind: AccessKind::Read,
+        }]
     }
 
     #[test]
@@ -1707,29 +1690,6 @@ mod tests {
         assert_eq!(c.pages_faulted_in, 100);
         assert_eq!(c.fault_batches, 1);
         assert_eq!(c.faulted_blocks, 1);
-    }
-
-    #[test]
-    fn duplicate_faults_dedup_before_migration() {
-        let mut d = small_driver(4);
-        let mut faults = faults_for(0, 0..10);
-        faults.extend(faults_for(0, 0..10));
-        d.handle_faults(Ns::ZERO, &faults).expect("faults handled");
-        let c = d.counters();
-        assert_eq!(c.gpu_page_faults, 20); // raw entries counted
-        assert_eq!(c.pages_faulted_in, 10); // but migrated once
-    }
-
-    #[test]
-    fn group_faults_preserves_block_order() {
-        let mut faults = faults_for(3, 0..2);
-        faults.extend(faults_for(1, 0..2));
-        faults.extend(faults_for(3, 2..4));
-        let groups = group_faults(&faults);
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].0, BlockNum::new(3));
-        assert_eq!(groups[0].1.count(), 4);
-        assert_eq!(groups[1].0, BlockNum::new(1));
     }
 
     #[test]
@@ -2058,19 +2018,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_entry_page_block_mapping() {
-        // Guard against PageNum/BlockNum confusion: page 512 is block 1.
-        let f = FaultEntry {
-            page: PageNum::new(512),
-            kind: AccessKind::Read,
-            sm: SmId(0),
-        };
-        let groups = group_faults(&[f]);
-        assert_eq!(groups[0].0, BlockNum::new(1));
-        assert!(groups[0].1.get(0));
-    }
-
-    #[test]
     fn demand_overflow_is_a_backend_error() {
         // 100 pages of device memory cannot hold a 512-page demand batch
         // no matter what gets evicted.
@@ -2366,9 +2313,9 @@ mod tests {
         // A write fault to the duplicated block collapses the hint and
         // drops the stale host copy.
         let write = vec![FaultEntry {
-            page: BlockNum::new(0).page(0),
+            block: BlockNum::new(0),
+            pages: PageMask::first_n(1),
             kind: AccessKind::Write,
-            sm: SmId(0),
         }];
         d.handle_faults(Ns::from_nanos(6), &write)
             .expect("write fault handled");

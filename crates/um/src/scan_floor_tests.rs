@@ -8,7 +8,7 @@
 //! cooling blocks, count the same events and leave the same pages
 //! resident.
 
-use deepum_gpu::fault::{AccessKind, FaultEntry, SmId};
+use deepum_gpu::fault::{AccessKind, FaultEntry};
 use deepum_mem::{u64_from_usize, BlockNum, ByteRange, PageMask, UmAddr, BLOCK_BYTES, PAGE_BYTES};
 use deepum_sim::costs::CostModel;
 use deepum_sim::rng::DetRng;
@@ -92,11 +92,21 @@ fn draw(rng: &mut DetRng, advice: &[Advice]) -> Op {
                 } else {
                     AccessKind::Read
                 };
-                faults.extend((0..pages(rng)).map(|i| FaultEntry {
-                    page: b.page(i),
-                    kind,
-                    sm: SmId(0),
-                }));
+                let mask = PageMask::first_n(pages(rng));
+                // A batch names each block once: a repeated draw merges.
+                match faults.iter_mut().find(|f: &&mut FaultEntry| f.block == b) {
+                    Some(f) => {
+                        f.pages.union_with(&mask);
+                        if kind == AccessKind::Write {
+                            f.kind = kind;
+                        }
+                    }
+                    None => faults.push(FaultEntry {
+                        block: b,
+                        pages: mask,
+                        kind,
+                    }),
+                }
             }
             Op::Faults(faults)
         }
@@ -269,13 +279,11 @@ fn floored_scan_matches_the_front_scan_read_mostly() {
 fn validate_rejects_a_stale_or_tenanted_floor() {
     let (mut d, _) = driver(false);
     for b in 0..2u64 {
-        let faults: Vec<FaultEntry> = (0..512)
-            .map(|i| FaultEntry {
-                page: BlockNum::new(b).page(i),
-                kind: AccessKind::Read,
-                sm: SmId(0),
-            })
-            .collect();
+        let faults: Vec<FaultEntry> = vec![FaultEntry {
+            block: BlockNum::new(b),
+            pages: PageMask::first_n(512),
+            kind: AccessKind::Read,
+        }];
         d.handle_faults(Ns::from_nanos(b + 1), &faults)
             .expect("faults handled");
     }

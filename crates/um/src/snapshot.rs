@@ -42,7 +42,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DUMSNAP\0";
 
 /// The snapshot format version. Bump on any payload layout change;
 /// readers reject every other version instead of misparsing it.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 const HEADER_LEN: usize = 12; // magic + version
 const TRAILER_LEN: usize = 8; // checksum
@@ -801,7 +801,7 @@ pub fn restore_driver(d: &mut UmDriver, bytes: &[u8]) -> Result<(), SnapshotErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepum_gpu::fault::{AccessKind, FaultEntry, SmId};
+    use deepum_gpu::fault::{AccessKind, FaultEntry};
     use deepum_mem::BLOCK_SIZE;
     use deepum_sim::costs::CostModel;
 
@@ -809,13 +809,11 @@ mod tests {
         let costs = CostModel::v100_32gb().with_device_memory(capacity_blocks * BLOCK_SIZE as u64);
         let mut d = UmDriver::new(costs);
         for b in 0..4u64 {
-            let faults: Vec<FaultEntry> = (0..200)
-                .map(|i| FaultEntry {
-                    page: BlockNum::new(b).page(i),
-                    kind: AccessKind::Read,
-                    sm: SmId(0),
-                })
-                .collect();
+            let faults: Vec<FaultEntry> = vec![FaultEntry {
+                block: BlockNum::new(b),
+                pages: PageMask::first_n(200),
+                kind: AccessKind::Read,
+            }];
             d.handle_faults(Ns::from_nanos(b + 1), &faults)
                 .expect("faults handled");
         }
@@ -904,7 +902,7 @@ mod tests {
         // a codec change cannot ship without touching this test — and
         // without migration thought for snapshots already on disk.
         assert_eq!(&SNAPSHOT_MAGIC, b"DUMSNAP\0");
-        assert_eq!(SNAPSHOT_VERSION, 4);
+        assert_eq!(SNAPSHOT_VERSION, 5);
         let bytes = SnapshotWriter::new().finish();
         assert_eq!(&bytes[..8], &SNAPSHOT_MAGIC);
         assert_eq!(
@@ -994,13 +992,11 @@ mod tests {
         // refaults, cooldowns, and in-flight pins mid-kernel.
         for k in 0..6u64 {
             let block = k % 3;
-            let faults: Vec<FaultEntry> = (0..512)
-                .map(|i| FaultEntry {
-                    page: BlockNum::new(block).page(i),
-                    kind: AccessKind::Read,
-                    sm: SmId(0),
-                })
-                .collect();
+            let faults: Vec<FaultEntry> = vec![FaultEntry {
+                block: BlockNum::new(block),
+                pages: PageMask::first_n(512),
+                kind: AccessKind::Read,
+            }];
             d.handle_faults(Ns::from_nanos(10 * k + 1), &faults)
                 .expect("faults handled");
             if k < 5 {
@@ -1056,13 +1052,11 @@ mod tests {
             FaultInjector::new(plan),
         )));
         for b in 0..drains {
-            let faults: Vec<FaultEntry> = (0..200)
-                .map(|i| FaultEntry {
-                    page: BlockNum::new(b % 4).page(i),
-                    kind: AccessKind::Read,
-                    sm: SmId(0),
-                })
-                .collect();
+            let faults: Vec<FaultEntry> = vec![FaultEntry {
+                block: BlockNum::new(b % 4),
+                pages: PageMask::first_n(200),
+                kind: AccessKind::Read,
+            }];
             d.handle_faults(Ns::from_nanos(b + 1), &faults)
                 .expect("faults handled");
         }
@@ -1075,7 +1069,7 @@ mod tests {
         assert_eq!(d.wear().retired_pages(), 2);
         assert_eq!(d.capacity_pages(), d.wear().usable_pages());
         let bytes = snapshot_driver(&d);
-        assert_eq!(bytes[8..HEADER_LEN], 4u32.to_le_bytes());
+        assert_eq!(bytes[8..HEADER_LEN], 5u32.to_le_bytes());
 
         // A fresh driver adopts the snapshot's blacklist wholesale.
         let costs = CostModel::v100_32gb().with_device_memory(3 * BLOCK_SIZE as u64);
@@ -1099,13 +1093,11 @@ mod tests {
         let mut d = worn_driver(&[0, 4], 4);
         assert_eq!(d.wear().retired_pages(), 1);
         let bytes = snapshot_driver(&d);
-        let faults: Vec<FaultEntry> = (0..200)
-            .map(|i| FaultEntry {
-                page: BlockNum::new(0).page(i),
-                kind: AccessKind::Read,
-                sm: SmId(0),
-            })
-            .collect();
+        let faults: Vec<FaultEntry> = vec![FaultEntry {
+            block: BlockNum::new(0),
+            pages: PageMask::first_n(200),
+            kind: AccessKind::Read,
+        }];
         d.handle_faults(Ns::from_nanos(99), &faults)
             .expect("faults handled");
         assert_eq!(d.wear().retired_pages(), 2);
@@ -1131,13 +1123,11 @@ mod tests {
         d.install_injector(std::rc::Rc::new(std::cell::RefCell::new(
             FaultInjector::new(plan),
         )));
-        let faults: Vec<FaultEntry> = (0..512)
-            .map(|i| FaultEntry {
-                page: BlockNum::new(0).page(i),
-                kind: AccessKind::Read,
-                sm: SmId(0),
-            })
-            .collect();
+        let faults: Vec<FaultEntry> = vec![FaultEntry {
+            block: BlockNum::new(0),
+            pages: PageMask::first_n(512),
+            kind: AccessKind::Read,
+        }];
         d.handle_faults(Ns::from_nanos(1), &faults)
             .expect("faults handled");
         assert_eq!(d.resident_pages(), 512);
@@ -1145,7 +1135,11 @@ mod tests {
 
         // Second drain fires the scheduled retirement: capacity shrinks
         // and the full block is live-migrated off the device.
-        d.handle_faults(Ns::from_nanos(2), &faults[..1])
+        let one_page = FaultEntry {
+            pages: PageMask::first_n(1),
+            ..faults[0]
+        };
+        d.handle_faults(Ns::from_nanos(2), &[one_page])
             .expect("faults handled");
         assert_eq!(d.wear().retired_pages(), 1);
         assert!(d.capacity_pages() < 512);
@@ -1178,14 +1172,14 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
             /// Decode-fuzz pin: arbitrary byte-level damage to a valid
-            /// v4 snapshot — bit flips, truncation, extension with
+            /// v5 snapshot — bit flips, truncation, extension with
             /// arbitrary bytes, zeroed spans — never panics the
             /// decoder. Restore returns `Ok` only when the mutation
             /// happened to be the identity (empty extension, truncate
             /// to full length, zeroing already-zero bytes); every
             /// actual change yields a typed [`SnapshotError`].
             #[test]
-            fn mutated_v4_snapshots_never_panic(
+            fn mutated_v5_snapshots_never_panic(
                 op in 0u8..4,
                 at in 0usize..8192,
                 span in 1usize..64,
@@ -1194,7 +1188,7 @@ mod tests {
             ) {
                 let d = worn_driver(&[0, 2], 4);
                 let original = snapshot_driver(&d);
-                prop_assert_eq!(&original[8..HEADER_LEN], &4u32.to_le_bytes()[..]);
+                prop_assert_eq!(&original[8..HEADER_LEN], &5u32.to_le_bytes()[..]);
 
                 let mut mutated = original.clone();
                 match op {

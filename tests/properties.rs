@@ -565,3 +565,190 @@ proptest! {
         prop_assert_eq!(u64::from(next_id), ids.len() as u64);
     }
 }
+
+/// A UM driver that records every fault batch the engine hands it,
+/// checked against the residency probe that preceded it.
+struct BatchRecorder {
+    inner: deepum::um::UmDriver,
+    injector: deepum::sim::faultinject::SharedInjector,
+    /// The engine's last residency probe: (block, missing pages).
+    last_miss: std::cell::Cell<Option<(deepum::mem::BlockNum, deepum::mem::PageMask)>>,
+    storm_drains_seen: u64,
+    storm_limit: usize,
+    drained_pages: u64,
+    broken: Vec<String>,
+}
+
+impl deepum::gpu::engine::UmBackend for BatchRecorder {
+    fn resident_miss(
+        &self,
+        block: deepum::mem::BlockNum,
+        pages: &deepum::mem::PageMask,
+    ) -> deepum::mem::PageMask {
+        let miss = self.inner.resident_miss(block, pages);
+        self.last_miss.set(Some((block, miss)));
+        miss
+    }
+
+    fn handle_faults(
+        &mut self,
+        now: deepum::sim::time::Ns,
+        faults: &[deepum::gpu::fault::FaultEntry],
+    ) -> Result<deepum::sim::time::Ns, deepum::gpu::engine::BackendError> {
+        use deepum::gpu::engine::GpuEngine;
+        use deepum::mem::PageMask;
+
+        // Exactly one `effective_fault_batch` call precedes each drain,
+        // so a moved storm-drain count means this batch was storm-limited.
+        let storm_drains = self.injector.borrow().stats().storm_drains;
+        let limit = if storm_drains > self.storm_drains_seen {
+            self.storm_limit
+        } else {
+            GpuEngine::DEFAULT_DEMAND_BATCH
+        };
+        self.storm_drains_seen = storm_drains;
+        match (faults, self.last_miss.get()) {
+            ([batch], Some((block, miss))) => {
+                let mut want = PageMask::empty();
+                for idx in miss.iter_ones().take(limit) {
+                    want.set(idx);
+                }
+                if batch.block != block || batch.pages != want {
+                    self.broken.push(format!(
+                        "batch {batch:?} is not the first {limit} pages of {block}'s miss {miss:?}"
+                    ));
+                }
+            }
+            _ => self.broken.push(format!(
+                "{} entries after probe {:?}",
+                faults.len(),
+                self.last_miss.get()
+            )),
+        }
+        self.drained_pages += faults.iter().map(|f| f.pages.count_u64()).sum::<u64>();
+        self.inner.handle_faults(now, faults)
+    }
+
+    fn touch(
+        &mut self,
+        now: deepum::sim::time::Ns,
+        block: deepum::mem::BlockNum,
+        pages: &deepum::mem::PageMask,
+    ) {
+        self.inner.touch(now, block, pages);
+    }
+
+    fn overlap_compute(
+        &mut self,
+        _now: deepum::sim::time::Ns,
+        _dur: deepum::sim::time::Ns,
+    ) -> deepum::sim::time::Ns {
+        deepum::sim::time::Ns::ZERO
+    }
+
+    fn kernel_finished(&mut self, now: deepum::sim::time::Ns) {
+        self.inner.pressure_kernel_tick(now);
+    }
+}
+
+/// A page mask drawn from `seed`: pages `start..start + len` kept with
+/// probability `keep / 4`, never empty.
+fn random_mask(seed: u64, start: usize, len: usize, keep: u64) -> deepum::mem::PageMask {
+    use deepum::mem::{PageMask, PAGES_PER_BLOCK};
+
+    let mut mask = PageMask::empty();
+    for page in start..(start + len).min(PAGES_PER_BLOCK) {
+        // splitmix64 finalizer over (seed, page).
+        let mut z = seed ^ (page as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        if (z ^ (z >> 31)) % 4 < keep {
+            mask.set(page);
+        }
+    }
+    if mask.is_empty() {
+        mask.set(start);
+    }
+    mask
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The engine's fault-batch contract: every drain hands the backend
+    /// one entry holding exactly the first `min(batch_limit, missing)`
+    /// missing pages of the access's block, where `batch_limit` is the
+    /// demand batch or, under a fault storm, its shrunk size. The drained
+    /// popcounts sum to both the engine's `KernelRunStats::faults` and
+    /// the UM driver's `gpu_page_faults`.
+    #[test]
+    fn engine_batches_are_the_missing_prefix_of_one_block(
+        accesses in prop::collection::vec(
+            // (block * 2 + is_write, first page, span, density, mask seed)
+            (0u64..12, 0usize..512, 1usize..=512, 1u64..=4, 0u64..1_000_000),
+            1..24,
+        ),
+        kernels in 1usize..4,
+        capacity_blocks in 2u64..10,
+        storm_pct in 0u64..=100,
+        storm_frac_pct in 1u64..=100,
+        storm_duration in 1u32..8,
+        seed in 0u64..1_000,
+    ) {
+        use deepum::gpu::engine::GpuEngine;
+        use deepum::gpu::fault::AccessKind;
+        use deepum::gpu::kernel::{BlockAccess, KernelLaunch};
+        use deepum::mem::{BlockNum, BLOCK_SIZE};
+        use deepum::sim::clock::SimClock;
+        use deepum::sim::energy::EnergyMeter;
+        use deepum::sim::time::Ns;
+        use deepum::InjectionPlan;
+
+        let plan = InjectionPlan {
+            seed,
+            storm_rate: storm_pct as f64 / 100.0,
+            storm_capacity_frac: storm_frac_pct as f64 / 100.0,
+            storm_duration_drains: storm_duration,
+            ..InjectionPlan::default()
+        };
+        let injector = plan.build_shared();
+        let costs = CostModel::v100_32gb().with_device_memory(capacity_blocks * BLOCK_SIZE as u64);
+        let mut driver = deepum::um::UmDriver::new(costs);
+        driver.install_injector(injector.clone());
+        let mut backend = BatchRecorder {
+            inner: driver,
+            injector: injector.clone(),
+            last_miss: std::cell::Cell::new(None),
+            storm_drains_seen: 0,
+            storm_limit: ((GpuEngine::DEFAULT_DEMAND_BATCH as f64 * plan.storm_capacity_frac)
+                as usize)
+                .max(1),
+            drained_pages: 0,
+            broken: Vec::new(),
+        };
+        let mut engine = GpuEngine::new();
+        engine.set_injector(injector);
+        let mut clock = SimClock::new();
+        let mut energy = EnergyMeter::new();
+
+        let launch: Vec<BlockAccess> = accesses
+            .iter()
+            .map(|&(block_kind, start, len, keep, mask_seed)| {
+                let kind = if block_kind % 2 == 1 { AccessKind::Write } else { AccessKind::Read };
+                let mask = random_mask(mask_seed, start, len, keep);
+                BlockAccess::new(BlockNum::new(block_kind / 2), mask, kind)
+            })
+            .collect();
+        let kernel = KernelLaunch::new("prop", &[], launch, Ns::from_micros(10));
+        let mut faults = 0;
+        for _ in 0..kernels {
+            let stats = engine.execute(&kernel, &mut clock, &mut backend, &mut energy);
+            prop_assert!(stats.is_ok(), "{:?}", stats);
+            faults += stats.map_or(0, |s| s.faults);
+        }
+
+        prop_assert!(backend.broken.is_empty(), "{:?}", backend.broken);
+        prop_assert_eq!(backend.drained_pages, faults);
+        prop_assert_eq!(backend.inner.counters().gpu_page_faults, faults);
+    }
+}

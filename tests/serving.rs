@@ -215,11 +215,18 @@ fn refused_endpoint_is_typed_and_traced_and_the_other_serves() {
     assert!(!trace.contains("TenantAdmitted"), "trace: {trace}");
 
     let serving = outcome.report.serving.as_ref().expect("serving section");
-    assert_eq!(serving.endpoints.len(), 1);
+    assert_eq!(serving.endpoints.len(), 2);
     let fits = &serving.endpoints[0];
     assert_eq!(fits.name, "fits");
+    assert!(fits.admitted && fits.error.is_none(), "{fits:?}");
     assert!(fits.requests > 0);
     assert_eq!(fits.completed, fits.requests, "{fits:?}");
+    let refused = &serving.endpoints[1];
+    assert_eq!(refused.name, "too-big");
+    assert!(!refused.admitted, "{refused:?}");
+    assert_eq!(refused.error, Some(err.to_string()));
+    assert_eq!(refused.requests, 0);
+    assert_eq!(serving.total_requests, fits.requests);
     outcome
         .validation
         .clone()
