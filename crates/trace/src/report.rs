@@ -27,11 +27,6 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// Total page faults attributed to kernels.
-    pub fn total_faults(&self) -> u64 {
-        self.kernels.iter().map(|k| k.faults).sum()
-    }
-
     /// Whole-run prefetch hit ratio; 1.0 when nothing was prefetched.
     pub fn prefetch_hit_ratio(&self) -> f64 {
         let prefetched: u64 = self.kernels.iter().map(|k| k.pages_prefetched).sum::<u64>()
@@ -82,7 +77,7 @@ mod tests {
         let report = t.report();
         assert_eq!(report.events_emitted, 4);
         assert_eq!(report.events_dropped, 2);
-        assert_eq!(report.total_faults(), 1);
+        assert_eq!(report.kernels[0].faults, 1);
         assert!((report.prefetch_hit_ratio() - 1.0).abs() < f64::EPSILON);
         let v = serde::Serialize::to_value(&report);
         let back = TraceReport::from_value(&v).expect("round trip");
