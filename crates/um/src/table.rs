@@ -11,7 +11,7 @@
 //!   array per touched stripe, mapping a block's within-stripe offset to
 //!   its dense id in O(1). `BlockState` storage is indexed by dense id,
 //!   so it covers only the blocks ever touched, not every offset below
-//!   the highest one.
+//!   the highest one. It grows in fixed chunks that never move.
 //! * A dense id is assigned the first time a block is touched and is
 //!   **stable for the lifetime of the table**: eviction, release, and
 //!   re-fault reuse the same id (and the same `BlockState` storage).
@@ -30,6 +30,17 @@ use crate::block::BlockState;
 /// Sentinel slot value: the block has never been touched.
 const VACANT: u32 = 0;
 
+/// log2 of the block states per storage chunk.
+const CHUNK_SHIFT: u32 = 8;
+
+/// Block states per storage chunk: 256 × 280 B = 70 KiB. State storage
+/// grows a chunk at a time and never moves, so no allocation reaches
+/// the allocator's 128 KiB mmap threshold. One growing `Vec` would free
+/// ever larger buffers (9 MiB on the largest models), and freeing an
+/// mmapped buffer raises glibc's mmap and trim thresholds to its size,
+/// after which the heap keeps the freed megabytes.
+const CHUNK_LEN: usize = 1 << CHUNK_SHIFT;
+
 /// Flat block-state storage with stable dense ids and ascending
 /// iteration. Drop-in replacement for the driver's former
 /// `BTreeMap<BlockNum, BlockState>`.
@@ -37,8 +48,9 @@ const VACANT: u32 = 0;
 pub struct BlockTable {
     /// Per-stripe slot arrays: offset → dense id + 1.
     slots: StripeMap<Vec<u32>>,
-    /// Dense id → block state (kept allocated across remove/re-insert).
-    states: Vec<BlockState>,
+    /// Dense id → block state, in `CHUNK_LEN`-state chunks (kept
+    /// allocated across remove/re-insert).
+    states: Vec<Vec<BlockState>>,
     /// Dense id → currently present in the table.
     live: Vec<bool>,
     /// Number of live entries.
@@ -55,6 +67,16 @@ impl BlockTable {
     /// An empty table.
     pub fn new() -> Self {
         BlockTable::default()
+    }
+
+    #[inline]
+    fn state(&self, idx: usize) -> &BlockState {
+        &self.states[idx >> CHUNK_SHIFT][idx % CHUNK_LEN]
+    }
+
+    #[inline]
+    fn state_mut(&mut self, idx: usize) -> &mut BlockState {
+        &mut self.states[idx >> CHUNK_SHIFT][idx % CHUNK_LEN]
     }
 
     #[inline]
@@ -81,16 +103,21 @@ impl BlockTable {
             Some(idx) => {
                 if !self.live[idx] {
                     self.live[idx] = true;
-                    self.states[idx] = BlockState::default();
+                    *self.state_mut(idx) = BlockState::default();
                     self.len += 1;
                 }
                 idx
             }
             None => {
-                let idx = self.states.len();
+                let idx = self.live.len();
                 let id = u32::try_from(idx).expect("dense block ids fit u32");
                 slots[offset] = id + 1;
-                self.states.push(BlockState::default());
+                if idx.is_multiple_of(CHUNK_LEN) {
+                    self.states.push(Vec::with_capacity(CHUNK_LEN));
+                }
+                if let Some(chunk) = self.states.last_mut() {
+                    chunk.push(BlockState::default());
+                }
                 self.live.push(true);
                 self.len += 1;
                 idx
@@ -102,14 +129,14 @@ impl BlockTable {
     #[inline]
     pub fn get(&self, block: BlockNum) -> Option<&BlockState> {
         let idx = dense_index(self.slot(block)?)?;
-        self.live[idx].then(|| &self.states[idx])
+        self.live[idx].then(|| self.state(idx))
     }
 
     /// Mutable state of `block`, if present.
     #[inline]
     pub fn get_mut(&mut self, block: BlockNum) -> Option<&mut BlockState> {
         let idx = dense_index(self.slot(block)?)?;
-        self.live[idx].then(|| &mut self.states[idx])
+        self.live[idx].then(|| self.state_mut(idx))
     }
 
     /// True if `block` is present.
@@ -123,7 +150,7 @@ impl BlockTable {
     #[inline]
     pub fn ensure(&mut self, block: BlockNum) -> &mut BlockState {
         let idx = self.ensure_id(block);
-        &mut self.states[idx]
+        self.state_mut(idx)
     }
 
     /// Inserts `state` for `block`, returning the previous state if one
@@ -131,7 +158,7 @@ impl BlockTable {
     pub fn insert(&mut self, block: BlockNum, state: BlockState) -> Option<BlockState> {
         let was_live = self.contains_key(block);
         let idx = self.ensure_id(block);
-        let prev = std::mem::replace(&mut self.states[idx], state);
+        let prev = std::mem::replace(self.state_mut(idx), state);
         was_live.then_some(prev)
     }
 
@@ -144,7 +171,7 @@ impl BlockTable {
         }
         self.live[idx] = false;
         self.len -= 1;
-        Some(std::mem::take(&mut self.states[idx]))
+        Some(std::mem::take(self.state_mut(idx)))
     }
 
     /// Number of live entries.
@@ -164,7 +191,7 @@ impl BlockTable {
         self.slots.iter().flat_map(move |(stripe, slots)| {
             slots.iter().enumerate().filter_map(move |(offset, &slot)| {
                 let idx = dense_index(slot)?;
-                self.live[idx].then(|| (join(stripe, offset), &self.states[idx]))
+                self.live[idx].then(|| (join(stripe, offset), self.state(idx)))
             })
         })
     }
@@ -218,6 +245,24 @@ mod tests {
         assert_eq!(t.dense_id(BlockNum::new(10)), Some(1));
         assert_eq!(t.ensure(BlockNum::new(10)).last_epoch, 0);
         assert_eq!(t.dense_id(BlockNum::new(10)), Some(1));
+    }
+
+    #[test]
+    fn states_keep_their_values_across_chunk_boundaries() {
+        let mut t = BlockTable::new();
+        let n = 3 * CHUNK_LEN as u64 + 5;
+        for raw in 0..n {
+            t.ensure(BlockNum::new(raw)).last_epoch = raw;
+        }
+        let refaulted = BlockNum::new(CHUNK_LEN as u64);
+        t.remove(refaulted);
+        t.ensure(refaulted);
+        for raw in 0..n {
+            let want = if raw == CHUNK_LEN as u64 { 0 } else { raw };
+            assert_eq!(t.get(BlockNum::new(raw)).map(|s| s.last_epoch), Some(want));
+        }
+        assert_eq!(t.len(), 3 * CHUNK_LEN + 5);
+        assert_eq!(t.iter().count(), t.len());
     }
 
     #[test]
