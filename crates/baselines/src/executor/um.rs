@@ -29,7 +29,7 @@ use deepum_core::recovery::{JournalEntry, LaunchJournal, RecoveryReport};
 use deepum_gpu::engine::{BackendError, EngineError, GpuEngine, UmBackend};
 use deepum_gpu::fault::AccessKind;
 use deepum_gpu::kernel::{BlockAccess, KernelLaunch};
-use deepum_mem::{u64_from_usize, BlockNum, ByteRange, PageMask, UmAddr, PAGE_SIZE};
+use deepum_mem::{u64_from_usize, ByteRange, PageMask, UmAddr, PAGE_SIZE};
 use deepum_runtime::interpose::{CudaRuntime, LaunchObserver};
 use deepum_sim::clock::SimClock;
 use deepum_sim::costs::CostModel;
@@ -38,7 +38,7 @@ use deepum_sim::faultinject::{
     BackendHealth, InjectionPlan, SharedInjector, TransientInjectorState,
 };
 use deepum_sim::metrics::Counters;
-use deepum_sim::rng::DetRng;
+use deepum_sim::rng::{DetRng, Zipf};
 use deepum_sim::time::Ns;
 use deepum_torch::alloc::{AllocError, CachingAllocator, PtBlockId, PtEvent};
 use deepum_torch::perf::PerfModel;
@@ -365,6 +365,8 @@ pub struct UmStepper {
     st: LoopState,
     /// Scratch buffer for allocator events awaiting forwarding.
     events: Vec<PtEvent>,
+    /// Scratch page masks for gather sampling; never checkpointed.
+    gather_scratch: Vec<PageMask>,
     cadence: Option<u64>,
     recovery: Option<RecoveryReport>,
     ring: CheckpointRing<Option<TransientInjectorState>>,
@@ -413,6 +415,7 @@ impl UmStepper {
             injector,
             st,
             events: Vec::new(),
+            gather_scratch: Vec::new(),
             cadence,
             recovery: cadence.map(|_| RecoveryReport::default()),
             ring: CheckpointRing::new(DEFAULT_RING_DEPTH),
@@ -599,6 +602,7 @@ impl UmStepper {
             k,
             &self.st.tensors,
             &mut self.st.gather_cache,
+            &mut self.gather_scratch,
             &mut self.st.rng,
             &self.cfg.perf,
         )?;
@@ -614,10 +618,13 @@ impl UmStepper {
             });
             self.st.clock.advance(delay);
         }
-        self.emit(TraceEvent::KernelBegin {
-            seq: self.st.kernel_seq,
-            name: launch.name.to_string(),
-        });
+        // The event owns a copy of the name: build it only when traced.
+        if self.cfg.tracer.is_some() {
+            self.emit(TraceEvent::KernelBegin {
+                seq: self.st.kernel_seq,
+                name: launch.name.to_string(),
+            });
+        }
         match self
             .engine
             .execute(&launch, &mut self.st.clock, backend, &mut self.st.energy)
@@ -1015,10 +1022,12 @@ where
 }
 
 /// Converts a kernel step into a concrete launch with block accesses.
+/// `gather_scratch` is [`sample_gather`]'s reusable page-mask buffer.
 fn build_launch(
     k: &KernelStep,
     tensors: &TensorMap,
     gather_cache: &mut GatherCache,
+    gather_scratch: &mut Vec<PageMask>,
     rng: &mut DetRng,
     perf: &PerfModel,
 ) -> Result<KernelLaunch, RunError> {
@@ -1030,15 +1039,17 @@ fn build_launch(
                 .get(id)
                 .ok_or_else(|| RunError::Driver(format!("kernel touches unmapped tensor {id}")))?;
             bytes += range.len();
-            for (block, mask) in range.block_footprints() {
-                accesses.push(BlockAccess::new(block, mask, kind));
-            }
+            accesses.extend(
+                range
+                    .block_footprints()
+                    .map(|(block, mask)| BlockAccess::new(block, mask, kind)),
+            );
         }
     }
     for g in &k.gathers {
         let sample = match gather_cache.entry(g.table) {
             Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => e.insert(sample_gather(g, tensors, rng)?),
+            Entry::Vacant(e) => e.insert(sample_gather(g, tensors, gather_scratch, rng)?),
         };
         bytes += sample
             .iter()
@@ -1056,9 +1067,12 @@ fn build_launch(
 
 /// Samples the pages touched by a gather: `lookups` skewed random rows of
 /// the table, merged into per-block page masks in ascending block order.
+/// `masks` is scratch, one mask per block of the table from its first
+/// block on; it carries nothing from one call to the next.
 fn sample_gather(
     g: &GatherAccess,
     tensors: &TensorMap,
+    masks: &mut Vec<PageMask>,
     rng: &mut DetRng,
 ) -> Result<Vec<BlockAccess>, RunError> {
     let (_, range) = tensors
@@ -1068,24 +1082,25 @@ fn sample_gather(
     if rows == 0 {
         return Ok(Vec::new());
     }
-    let mut blocks: BTreeMap<BlockNum, PageMask> = BTreeMap::new();
+    let first = range.start().block();
+    masks.clear();
+    masks.resize(range.blocks().len(), PageMask::empty());
+    let zipf = (g.skew > 0.0).then(|| Zipf::new(rows, g.skew));
     for _ in 0..g.lookups {
-        let row = if g.skew > 0.0 {
-            rng.zipf_like(rows, g.skew)
-        } else {
-            rng.below(rows)
+        let row = match &zipf {
+            Some(zipf) => zipf.sample(rng),
+            None => rng.below(rows),
         };
         // A row may span two pages; touching its first page captures the
         // access pattern at fault granularity.
-        let addr = UmAddr::new(range.start().raw() + row * g.row_bytes as u64);
-        blocks
-            .entry(addr.block())
-            .or_insert_with(PageMask::empty)
-            .set(addr.page().index_in_block());
+        let page = UmAddr::new(range.start().raw() + row * g.row_bytes as u64).page();
+        masks[(page.block().index() - first.index()) as usize].set(page.index_in_block());
     }
-    Ok(blocks
-        .into_iter()
-        .map(|(b, m)| BlockAccess::new(b, m, AccessKind::Read))
+    Ok(masks
+        .iter()
+        .enumerate()
+        .filter(|(_, m)| !m.is_empty())
+        .map(|(i, m)| BlockAccess::new(first.offset(u64_from_usize(i)), *m, AccessKind::Read))
         .collect())
 }
 
@@ -1095,7 +1110,7 @@ mod tests {
     use crate::naive::NaiveUm;
     use deepum_core::config::DeepumConfig;
     use deepum_core::driver::DeepumDriver;
-    use deepum_mem::BLOCK_SIZE;
+    use deepum_mem::{BlockNum, BLOCK_SIZE};
     use deepum_torch::models::ModelKind;
 
     fn tiny_costs(device_mb: u64, host_mb: u64) -> CostModel {
@@ -1184,11 +1199,79 @@ mod tests {
             row_bytes: 512,
             skew: 1.05,
         };
-        let a = sample_gather(&g, &tensors, &mut DetRng::seed(9)).unwrap();
-        let b = sample_gather(&g, &tensors, &mut DetRng::seed(9)).unwrap();
+        let mut scratch = Vec::new();
+        let a = sample_gather(&g, &tensors, &mut scratch, &mut DetRng::seed(9)).unwrap();
+        let b = sample_gather(&g, &tensors, &mut scratch, &mut DetRng::seed(9)).unwrap();
         assert_eq!(a, b);
         assert!(!a.is_empty());
         // Skew concentrates mass near the start of the table.
         assert_eq!(a[0].block, BlockNum::new(0));
+    }
+
+    /// Gather sampling as a `BTreeMap` from block to page mask, drawing
+    /// each row with `DetRng::zipf_like` or `below`.
+    fn sample_gather_btree(
+        g: &GatherAccess,
+        range: ByteRange,
+        rng: &mut DetRng,
+    ) -> Vec<BlockAccess> {
+        let rows = range.len() / g.row_bytes as u64;
+        if rows == 0 {
+            return Vec::new();
+        }
+        let mut blocks: BTreeMap<BlockNum, PageMask> = BTreeMap::new();
+        for _ in 0..g.lookups {
+            let row = if g.skew > 0.0 {
+                rng.zipf_like(rows, g.skew)
+            } else {
+                rng.below(rows)
+            };
+            let addr = UmAddr::new(range.start().raw() + row * g.row_bytes as u64);
+            blocks
+                .entry(addr.block())
+                .or_insert_with(PageMask::empty)
+                .set(addr.page().index_in_block());
+        }
+        blocks
+            .into_iter()
+            .map(|(b, m)| BlockAccess::new(b, m, AccessKind::Read))
+            .collect()
+    }
+
+    #[test]
+    fn dense_gather_matches_btree_reference() {
+        // Tables starting mid-block and on a block boundary, sampled in
+        // turn through one scratch buffer, so a stale mask would show.
+        let tables = [
+            ByteRange::new(
+                UmAddr::new(3 * BLOCK_SIZE as u64 + 12_345),
+                40 * BLOCK_SIZE as u64 + 99,
+            ),
+            ByteRange::new(UmAddr::new(100 * BLOCK_SIZE as u64), 3 * BLOCK_SIZE as u64),
+        ];
+        let mut tensors = TensorMap::new();
+        for (i, range) in tables.iter().enumerate() {
+            tensors.insert(TensorId(i as u32), (Default::default(), *range));
+        }
+        let mut scratch = Vec::new();
+        for skew in [0.0, 0.5, 1.0, 1.05] {
+            for (i, range) in tables.iter().enumerate() {
+                let g = GatherAccess {
+                    table: TensorId(i as u32),
+                    lookups: 5000,
+                    row_bytes: 384,
+                    skew,
+                };
+                let seed = 31 + i as u64;
+                let (mut a, mut b) = (DetRng::seed(seed), DetRng::seed(seed));
+                let dense = sample_gather(&g, &tensors, &mut scratch, &mut a).unwrap();
+                assert_eq!(
+                    dense,
+                    sample_gather_btree(&g, *range, &mut b),
+                    "skew {skew} table {i}"
+                );
+                assert_eq!(a.next_u64(), b.next_u64(), "streams stay in step");
+            }
+        }
     }
 }

@@ -52,12 +52,7 @@ impl PageMask {
     ///
     /// Panics if `n > PAGES_PER_BLOCK`.
     pub fn first_n(n: usize) -> Self {
-        assert!(n <= PAGES_PER_BLOCK, "n out of range: {n}");
-        let mut m = PageMask::empty();
-        for i in 0..n {
-            m.set(i);
-        }
-        m
+        Self::from_range(0..n)
     }
 
     /// A mask with pages `range` set (end exclusive).
@@ -68,9 +63,15 @@ impl PageMask {
     pub fn from_range(range: core::ops::Range<usize>) -> Self {
         assert!(range.end <= PAGES_PER_BLOCK, "range out of bounds");
         let mut m = PageMask::empty();
-        for i in range {
-            m.set(i);
+        if range.is_empty() {
+            return m;
         }
+        // Fill whole words, then trim the two edge words.
+        let (lo, hi) = (range.start, range.end - 1);
+        let (lo_word, hi_word) = (lo / 64, hi / 64);
+        m.words[lo_word..=hi_word].fill(u64::MAX);
+        m.words[lo_word] &= u64::MAX << (lo % 64);
+        m.words[hi_word] &= u64::MAX >> (63 - hi % 64);
         m
     }
 
@@ -418,6 +419,21 @@ mod tests {
     #[should_panic(expected = "range out of bounds")]
     fn from_range_validates() {
         let _ = PageMask::from_range(0..513);
+    }
+
+    /// The word-wise fill equals setting each bit, for every range.
+    #[test]
+    fn from_range_matches_per_bit_loop() {
+        for lo in 0..=PAGES_PER_BLOCK {
+            // `want` holds bits `lo..hi`, one more set per step.
+            let mut want = PageMask::empty();
+            for hi in lo..=PAGES_PER_BLOCK {
+                assert_eq!(PageMask::from_range(lo..hi).words, want.words, "{lo}..{hi}");
+                if hi < PAGES_PER_BLOCK {
+                    want.set(hi);
+                }
+            }
+        }
     }
 
     #[test]

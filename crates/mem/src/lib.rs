@@ -33,7 +33,7 @@ pub mod stripe;
 
 pub use addr::{BlockNum, PageNum, UmAddr};
 pub use bitmap::{DenseBlockSet, PageMask};
-pub use range::{BlockRange, ByteRange, PageRange};
+pub use range::{BlockFootprints, BlockRange, ByteRange, PageRange};
 
 /// Size of a UM page in bytes (4 KiB).
 pub const PAGE_SIZE: usize = 4096;

@@ -109,22 +109,11 @@ impl ByteRange {
     ///
     /// This is how a tensor's byte extent becomes the per-block page
     /// footprint a kernel access trace records.
-    pub fn block_footprints(&self) -> Vec<(BlockNum, PageMask)> {
-        let mut out = Vec::new();
-        if self.is_empty() {
-            return out;
+    pub fn block_footprints(&self) -> BlockFootprints {
+        BlockFootprints {
+            range: *self,
+            blocks: self.blocks(),
         }
-        for block in self.blocks() {
-            let block_start = block.addr().raw();
-            let block_end = block_start + BLOCK_BYTES;
-            let lo = self.start.raw().max(block_start);
-            let hi = self.end().raw().min(block_end);
-            let first_page = UmAddr::new(lo).page().index_in_block();
-            let last_page = UmAddr::new(hi - 1).page().index_in_block();
-            debug_assert!(last_page < PAGES_PER_BLOCK);
-            out.push((block, PageMask::from_range(first_page..last_page + 1)));
-        }
-        out
     }
 }
 
@@ -190,10 +179,77 @@ impl Iterator for BlockRange {
 
 impl ExactSizeIterator for BlockRange {}
 
+/// Iterator over `(block, covered pages)` pairs in ascending block
+/// order, produced by [`ByteRange::block_footprints`].
+#[derive(Debug, Clone)]
+pub struct BlockFootprints {
+    range: ByteRange,
+    blocks: BlockRange,
+}
+
+impl Iterator for BlockFootprints {
+    type Item = (BlockNum, PageMask);
+
+    fn next(&mut self) -> Option<(BlockNum, PageMask)> {
+        let block = self.blocks.next()?;
+        let block_start = block.addr().raw();
+        let lo = self.range.start.raw().max(block_start);
+        let hi = self.range.end().raw().min(block_start + BLOCK_BYTES);
+        let first_page = UmAddr::new(lo).page().index_in_block();
+        let last_page = UmAddr::new(hi - 1).page().index_in_block();
+        debug_assert!(last_page < PAGES_PER_BLOCK);
+        Some((block, PageMask::from_range(first_page..last_page + 1)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.blocks.size_hint()
+    }
+}
+
+impl ExactSizeIterator for BlockFootprints {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BLOCK_SIZE, PAGE_SIZE};
+    use crate::{BLOCK_SIZE, PAGE_BYTES, PAGE_SIZE};
+    use proptest::prelude::*;
+
+    /// Reference footprints: one `Vec` entry per touched block, its mask
+    /// built page by page.
+    fn footprints_vec(r: &ByteRange) -> Vec<(BlockNum, PageMask)> {
+        let mut out: Vec<(BlockNum, PageMask)> = Vec::new();
+        for page in r.pages() {
+            match out.last_mut() {
+                Some((block, mask)) if *block == page.block() => mask.set(page.index_in_block()),
+                _ => {
+                    let mut mask = PageMask::empty();
+                    mask.set(page.index_in_block());
+                    out.push((page.block(), mask));
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        /// The footprint iterator yields exactly the reference entries,
+        /// for unaligned starts and ends spanning one to four blocks.
+        #[test]
+        fn footprints_match_page_by_page_reference(
+            base in 0u64..64,
+            start_page in 0u64..512,
+            start_byte in 0u64..PAGE_BYTES,
+            span in 1u64..=4,
+            end_off in 1u64..=BLOCK_BYTES,
+        ) {
+            let start = base * BLOCK_BYTES + start_page * PAGE_BYTES + start_byte;
+            let end = ((base + span - 1) * BLOCK_BYTES + end_off).max(start + 1);
+            let r = ByteRange::new(UmAddr::new(start), end - start);
+            let got: Vec<_> = r.block_footprints().collect();
+            prop_assert_eq!(r.block_footprints().len(), got.len());
+            prop_assert_eq!(got, footprints_vec(&r));
+        }
+    }
 
     #[test]
     fn empty_range_touches_nothing() {
@@ -202,7 +258,7 @@ mod tests {
         assert_eq!(r.pages().count(), 0);
         assert_eq!(r.blocks().count(), 0);
         assert_eq!(r.page_count(), 0);
-        assert!(r.block_footprints().is_empty());
+        assert_eq!(r.block_footprints().count(), 0);
     }
 
     #[test]
@@ -241,7 +297,7 @@ mod tests {
         // One page at the end of block 0 plus three pages of block 1.
         let start = BLOCK_SIZE as u64 - PAGE_SIZE as u64;
         let r = ByteRange::new(UmAddr::new(start), 4 * PAGE_SIZE as u64);
-        let fp = r.block_footprints();
+        let fp: Vec<_> = r.block_footprints().collect();
         assert_eq!(fp.len(), 2);
         assert_eq!(fp[0].0, BlockNum::new(0));
         assert_eq!(fp[0].1.count(), 1);
@@ -254,7 +310,7 @@ mod tests {
     #[test]
     fn footprint_page_totals_match_page_count() {
         let r = ByteRange::new(UmAddr::new(12_345), 10 * BLOCK_SIZE as u64 + 777);
-        let total: usize = r.block_footprints().iter().map(|(_, m)| m.count()).sum();
+        let total: usize = r.block_footprints().map(|(_, m)| m.count()).sum();
         assert_eq!(total as u64, r.page_count());
     }
 

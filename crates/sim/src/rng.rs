@@ -106,25 +106,14 @@ impl DetRng {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// A draw from a truncated power-law over `[0, n)`, approximating the
-    /// skewed popularity of recommendation-model embedding rows: small
-    /// indices are hot, the tail is cold but non-empty.
+    /// A draw from [`Zipf::new`]`(n, skew)`. Callers drawing many rows of
+    /// one table build the [`Zipf`] once instead.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     pub fn zipf_like(&mut self, n: u64, skew: f64) -> u64 {
-        assert!(n > 0, "n must be positive");
-        // Inverse-CDF sampling of p(x) ~ (x+1)^-skew over [0, n).
-        let u = self.unit_f64();
-        let exp = 1.0 - skew;
-        let idx = if exp.abs() < 1e-9 {
-            ((n as f64).powf(u) - 1.0).max(0.0)
-        } else {
-            let max = (n as f64).powf(exp);
-            (u * (max - 1.0) + 1.0).powf(1.0 / exp) - 1.0
-        };
-        (idx as u64).min(n - 1)
+        Zipf::new(n, skew).sample(self)
     }
 
     /// Fisher-Yates shuffle of a slice.
@@ -136,9 +125,97 @@ impl DetRng {
     }
 }
 
+/// A truncated power-law over `[0, n)`, approximating the skewed
+/// popularity of recommendation-model embedding rows: small indices are
+/// hot, the tail is cold but non-empty.
+///
+/// The per-table constants are computed once, so each draw costs one
+/// `powf`.
+///
+/// # Example
+///
+/// ```
+/// use deepum_sim::rng::{DetRng, Zipf};
+///
+/// let zipf = Zipf::new(1000, 1.05);
+/// let mut rng = DetRng::seed(1);
+/// assert!(zipf.sample(&mut rng) < 1000);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Zipf {
+    n: u64,
+    /// `n^(1 - skew)`: the inverse CDF's value at `u = 1`.
+    max: f64,
+    /// `1 / (1 - skew)`.
+    inv_exp: f64,
+    /// `skew` is 1 to within 1e-9, where the inverse CDF takes its
+    /// log-uniform limit.
+    flat: bool,
+}
+
+impl Zipf {
+    /// The distribution `p(x) ~ (x+1)^-skew` over `[0, n)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new(n: u64, skew: f64) -> Self {
+        assert!(n > 0, "n must be positive");
+        let exp = 1.0 - skew;
+        Zipf {
+            n,
+            max: (n as f64).powf(exp),
+            inv_exp: 1.0 / exp,
+            flat: exp.abs() < 1e-9,
+        }
+    }
+
+    /// One draw by inverse-CDF sampling, consuming one `unit_f64`.
+    pub fn sample(&self, rng: &mut DetRng) -> u64 {
+        let u = rng.unit_f64();
+        let idx = if self.flat {
+            ((self.n as f64).powf(u) - 1.0).max(0.0)
+        } else {
+            (u * (self.max - 1.0) + 1.0).powf(self.inv_exp) - 1.0
+        };
+        (idx as u64).min(self.n - 1)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-draw formula `Zipf` hoists its constants out of.
+    fn zipf_reference(rng: &mut DetRng, n: u64, skew: f64) -> u64 {
+        let u = rng.unit_f64();
+        let exp = 1.0 - skew;
+        let idx = if exp.abs() < 1e-9 {
+            ((n as f64).powf(u) - 1.0).max(0.0)
+        } else {
+            let max = (n as f64).powf(exp);
+            (u * (max - 1.0) + 1.0).powf(1.0 / exp) - 1.0
+        };
+        (idx as u64).min(n - 1)
+    }
+
+    #[test]
+    fn zipf_matches_the_per_draw_formula() {
+        for skew in [0.5, 1.0, 1.05] {
+            for n in [1u64, 7, 100_000] {
+                let zipf = Zipf::new(n, skew);
+                let (mut a, mut b) = (DetRng::seed(17), DetRng::seed(17));
+                for i in 0..10_000 {
+                    assert_eq!(
+                        zipf.sample(&mut a),
+                        zipf_reference(&mut b, n, skew),
+                        "draw {i} of n={n} skew={skew}"
+                    );
+                }
+                assert_eq!(a.next_u64(), b.next_u64(), "streams stay in step");
+            }
+        }
+    }
 
     #[test]
     fn same_seed_same_stream() {

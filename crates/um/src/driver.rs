@@ -343,7 +343,7 @@ impl UmDriver {
     pub fn advise(&mut self, now: Ns, range: ByteRange, advice: Advice) -> u64 {
         self.lru.clear_floor();
         let mut applied = 0u64;
-        for (block, _mask) in range.block_footprints() {
+        for block in range.blocks() {
             if self.hints.advise(block, advice) {
                 applied += 1;
                 self.trace(
