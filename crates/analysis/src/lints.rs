@@ -199,7 +199,8 @@ const RESULT_PATTERNS: &[&str] = &["let _ =", "let _=", ".ok()", ".unwrap_or_def
 /// checkpoint cadence — and the prefetching thread's chain walk and
 /// footprint table, which run once per chain emission. The per-stripe
 /// lookups under all of them (the stripe map, the block bitsets and the
-/// block-state table) run once per probe. The committed baseline
+/// block-state table) run once per probe, and the byte-range footprints
+/// run for every tensor of every launch. The committed baseline
 /// (`ci/tidy-baseline.json`) grandfathers today's counts; the lint is
 /// the scoreboard that only lets them fall.
 const HOT_PATH_FILES: &[&str] = &[
@@ -214,6 +215,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/mem/src/stripe.rs",
     "crates/mem/src/bitmap.rs",
     "crates/um/src/table.rs",
+    "crates/mem/src/range.rs",
 ];
 
 /// Allocation patterns for `hot-path-alloc`. `.collect` (no parens)
