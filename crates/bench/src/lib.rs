@@ -21,6 +21,7 @@
 pub mod chaos;
 pub mod experiments;
 pub mod grids;
+pub mod meta;
 pub mod suite;
 pub mod table;
 

@@ -167,6 +167,39 @@ pub fn suite_cells() -> Vec<SuiteCell> {
     cells
 }
 
+/// True if the cell key `key` matches the shell-style `glob`: `*`
+/// matches any run of characters (none included), `?` any one character
+/// and every other character itself. Keys are ASCII, so bytes suffice.
+pub fn key_matches(glob: &str, key: &str) -> bool {
+    let (glob, key) = (glob.as_bytes(), key.as_bytes());
+    let (mut g, mut k) = (0, 0);
+    // The last `*` seen: the glob index after it and the key index it
+    // has consumed up to. A mismatch retries with the `*` taking one
+    // more byte.
+    let mut star = None;
+    while k < key.len() {
+        match glob.get(g) {
+            Some(b'*') => {
+                g += 1;
+                star = Some((g, k));
+            }
+            Some(&c) if c == b'?' || c == key[k] => {
+                g += 1;
+                k += 1;
+            }
+            _ => match star {
+                Some((after, taken)) => {
+                    g = after;
+                    k = taken + 1;
+                    star = Some((after, k));
+                }
+                None => return false,
+            },
+        }
+    }
+    glob[g..].iter().all(|&c| c == b'*')
+}
+
 fn simulate(cell: &SuiteCell, tracer: Option<SharedTracer>) -> Result<RunReport, RunError> {
     let workload = cell.model.build(cell.batch);
     let mut params = if cell.sixteen_gb {
@@ -313,6 +346,43 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), cells.len(), "cell keys must be unique");
+    }
+
+    #[test]
+    fn key_globs_match_whole_keys() {
+        let key = "gpt2-l-b5-deepum-i2";
+        for glob in [
+            key,
+            "*",
+            "gpt2-l-*",
+            "*-deepum-i2",
+            "gpt2-?-b5-*",
+            "*deepum*",
+            "g*2-l*i2",
+        ] {
+            assert!(key_matches(glob, key), "{glob} should match");
+        }
+        for glob in [
+            "",
+            "gpt2-l",
+            "*-um-i2",
+            "gpt2-??-b5-*",
+            "16g-*",
+            "*deepum",
+            "x*",
+        ] {
+            assert!(!key_matches(glob, key), "{glob} should not match");
+        }
+        assert!(key_matches("", ""));
+        assert!(key_matches("**", ""));
+        // A glob selects a subset of the grid, in grid order.
+        let cells = suite_cells();
+        let picked: Vec<_> = cells
+            .iter()
+            .filter(|c| key_matches("16g-*-um-i2", &c.key))
+            .collect();
+        assert_eq!(picked.len(), 4);
+        assert!(picked.iter().all(|c| c.sixteen_gb));
     }
 
     #[test]
