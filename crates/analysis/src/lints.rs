@@ -197,7 +197,8 @@ const RESULT_PATTERNS: &[&str] = &["let _ =", "let _=", ".ok()", ".unwrap_or_def
 /// map and the checkpoint ring — retirement sampling consults the wear
 /// map on every fault drain, and the ring's store runs inside the
 /// checkpoint cadence — and the prefetching thread's chain walk and
-/// footprint table, which run once per chain emission. The per-stripe
+/// footprint table, which run once per chain emission, and the block
+/// correlation table, written once per faulted block. The per-stripe
 /// lookups under all of them (the stripe map, the block bitsets and the
 /// block-state table) run once per probe, and the byte-range footprints
 /// run for every tensor of every launch. The committed baseline
@@ -216,6 +217,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/mem/src/bitmap.rs",
     "crates/um/src/table.rs",
     "crates/mem/src/range.rs",
+    "crates/core/src/correlation/block.rs",
 ];
 
 /// Allocation patterns for `hot-path-alloc`. `.collect` (no parens)

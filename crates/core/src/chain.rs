@@ -21,6 +21,7 @@ use deepum_mem::BlockNum;
 use deepum_runtime::exec_table::ExecId;
 use deepum_um::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
+use crate::correlation::block::TableStamp;
 use crate::correlation::{BlockCorrelationTable, ExecCorrelationTable};
 use crate::queues::PrefetchCommand;
 
@@ -115,10 +116,143 @@ impl VisitedSet {
     }
 }
 
+/// One kernel's recorded chaining segment: what a walk that enters the
+/// kernel at its start block does, until it meets the end block or runs
+/// out of frontier. After a transition the walk's state is a pure
+/// function of the kernel's table, so the segment is recorded once per
+/// table state and replayed at every transition into the kernel while
+/// the table still shows the same stamp.
+#[derive(Debug, Clone, Default)]
+struct Segment {
+    /// Stamp of the table the segment was recorded from; `None` before
+    /// the first recording.
+    stamp: Option<TableStamp>,
+    /// The table's end block at recording. Every discovered block but
+    /// this one entered the frontier (the start block always did).
+    end: Option<BlockNum>,
+    /// Discovered blocks in discovery order, which is emission order;
+    /// the start block leads.
+    order: Vec<BlockNum>,
+    /// `order.len()` after each expansion, in expansion order.
+    discovered: Vec<usize>,
+    /// True if the last expansion met the end block; false if the
+    /// frontier ran dry.
+    met_end: bool,
+}
+
+impl Segment {
+    /// Records the walk of `table` from `start`, using `visited` and
+    /// `frontier` as scratch: `frontier` is left empty and `visited`
+    /// holds the segment's blocks.
+    fn record(
+        &mut self,
+        table: &BlockCorrelationTable,
+        start: BlockNum,
+        visited: &mut VisitedSet,
+        frontier: &mut VecDeque<BlockNum>,
+    ) {
+        self.stamp = Some(table.stamp());
+        self.end = table.end();
+        self.order.clear();
+        self.discovered.clear();
+        self.met_end = false;
+        visited.clear();
+        visited.insert(start);
+        self.order.push(start);
+        frontier.clear();
+        frontier.push_back(start);
+        while let Some(block) = frontier.pop_front() {
+            let order = &mut self.order;
+            let met_end = expand(table, block, visited, frontier, |b| order.push(b));
+            self.discovered.push(self.order.len());
+            if met_end {
+                self.met_end = true;
+                frontier.clear();
+            }
+        }
+    }
+
+    /// Blocks discovered once `expanded` expansions are done; the
+    /// transition itself discovers the start block.
+    fn known(&self, expanded: usize) -> usize {
+        match expanded {
+            0 => 1,
+            e => self.discovered[e - 1],
+        }
+    }
+
+    /// The frontier once `expanded` expansions are done: the discovered
+    /// blocks that entered it, less the `expanded` already taken. Empty
+    /// once a transition is pending (meeting the end block clears it).
+    fn frontier(
+        &self,
+        expanded: usize,
+        pending_transition: bool,
+    ) -> impl Iterator<Item = BlockNum> + '_ {
+        let end = self.end;
+        let live = if pending_transition { 0 } else { usize::MAX };
+        self.order[..self.known(expanded)]
+            .iter()
+            .enumerate()
+            .filter(move |&(i, &b)| i == 0 || Some(b) != end)
+            .map(|(_, &b)| b)
+            .skip(expanded)
+            .take(live)
+    }
+}
+
+/// How far the replay of the current kernel's segment has got: the
+/// blocks emitted and the expansions the live walk would have made.
+#[derive(Debug, Clone, Copy, Default)]
+struct Replay {
+    emitted: usize,
+    expanded: usize,
+}
+
+/// Expands `block`: each successor not yet visited is discovered (handed
+/// to `discover`) and, unless it is the end block, queued for expansion.
+/// Returns true if the end block is among the successors. Meeting it
+/// stops expansion for this kernel — but the successors met so far
+/// (including the end block itself) are still prefetched, as in the
+/// paper's Fig. 7 walk-through.
+fn expand(
+    table: &BlockCorrelationTable,
+    block: BlockNum,
+    visited: &mut VisitedSet,
+    frontier: &mut VecDeque<BlockNum>,
+    mut discover: impl FnMut(BlockNum),
+) -> bool {
+    let end = table.end();
+    let mut met_end = false;
+    for &succ in table.successors(block) {
+        let is_end = end == Some(succ);
+        met_end |= is_end;
+        if visited.insert(succ) {
+            discover(succ);
+            if !is_end {
+                frontier.push_back(succ);
+            }
+        }
+    }
+    met_end
+}
+
+/// Writes a block list of `len` blocks, length first.
+fn write_blocks(w: &mut SnapshotWriter, len: usize, blocks: impl Iterator<Item = BlockNum>) {
+    w.u64(deepum_mem::u64_from_usize(len));
+    for b in blocks {
+        w.block(b);
+    }
+}
+
 /// State of one chaining walk, (re)started at every page-fault batch.
 ///
 /// The driver keeps one walk and [`ChainWalk::restart`]s it in place, so
-/// its queues and visited set keep their storage across fault batches.
+/// its queues, visited set and recorded segments keep their storage
+/// across fault batches. The segment from the faulted block is walked
+/// live; every segment after a kernel transition is replayed from the
+/// predicted kernel's recorded [`Segment`] and walked live again only
+/// from the point where that kernel's table changes under the replay.
 #[derive(Debug, Clone)]
 pub struct ChainWalk {
     exec: ExecId,
@@ -134,6 +268,12 @@ pub struct ChainWalk {
     /// Blocks whose successors have not been expanded yet.
     frontier: VecDeque<BlockNum>,
     visited: VisitedSet,
+    /// Recorded segments, indexed by execution ID.
+    segments: Vec<Segment>,
+    /// Set while `segments[exec]` is replayed. `emit_q` and `frontier`
+    /// are then empty and `visited` is scratch: the live walk's state is
+    /// a function of this position and the segment.
+    replay: Option<Replay>,
 }
 
 impl ChainWalk {
@@ -153,6 +293,8 @@ impl ChainWalk {
             emit_q: VecDeque::new(),
             frontier: VecDeque::new(),
             visited: VisitedSet::new(),
+            segments: Vec::new(), // deepum-tidy: allow(hot-path-alloc) -- empty until a transition records a segment; no heap allocation
+            replay: None,
         };
         walk.visited.insert(fault_block);
         walk
@@ -160,7 +302,7 @@ impl ChainWalk {
 
     /// Restarts the walk in place at `fault_block`, exactly as
     /// [`ChainWalk::new`] would start it, but keeping the storage of its
-    /// queues and visited set.
+    /// queues and visited set and the recorded segments.
     pub fn restart(&mut self, exec: ExecId, history: [ExecId; 3], fault_block: BlockNum) {
         self.exec = exec;
         self.history = history;
@@ -174,6 +316,7 @@ impl ChainWalk {
         self.frontier.clear();
         self.visited.clear();
         self.visited.insert(fault_block);
+        self.replay = None;
     }
 
     /// How many kernel transitions the walk has made beyond the currently
@@ -215,6 +358,9 @@ impl ChainWalk {
         if self.paused {
             return ChainStep::Paused;
         }
+        if let Some(step) = self.replay_step(block_tables, exec_table, max_ahead) {
+            return step;
+        }
         loop {
             // Discovered blocks go out first.
             if let Some(block) = self.emit_q.pop_front() {
@@ -251,32 +397,75 @@ impl ChainWalk {
                 }
             };
 
-            // Expand: every newly met successor is a prefetch candidate.
-            // Meeting the end block stops expansion for this kernel — but
-            // the successors met so far (including the end block itself)
-            // are still prefetched, as in the paper's Fig. 7 walk-through.
-            let mut met_end = false;
-            for &succ in table.successors(block) {
-                if self.visited.insert(succ) {
-                    self.emit_q.push_back(succ);
-                    if table.end() == Some(succ) {
-                        met_end = true;
-                    } else {
-                        self.frontier.push_back(succ);
-                    }
-                } else if table.end() == Some(succ) {
-                    met_end = true;
-                }
-            }
-            if met_end {
+            let emit_q = &mut self.emit_q;
+            if expand(table, block, &mut self.visited, &mut self.frontier, |b| {
+                emit_q.push_back(b);
+            }) {
                 self.pending_transition = true;
                 self.frontier.clear();
             }
         }
     }
 
+    /// Steps a replayed segment exactly as the live walk would step it.
+    /// The table is read only where the live walk would expand a block,
+    /// to check the segment's stamp; if the table has changed, the live
+    /// state is rebuilt there and `None` hands the step to the live
+    /// walk. `None` too when no segment is being replayed.
+    fn replay_step(
+        &mut self,
+        block_tables: &[Option<BlockCorrelationTable>],
+        exec_table: &ExecCorrelationTable,
+        max_ahead: usize,
+    ) -> Option<ChainStep> {
+        loop {
+            let replay = self.replay.as_mut()?;
+            let seg = &self.segments[self.exec.index()];
+            if replay.emitted < seg.known(replay.expanded) {
+                let block = seg.order[replay.emitted];
+                replay.emitted += 1;
+                return Some(ChainStep::Emit(PrefetchCommand {
+                    block,
+                    exec: self.exec,
+                }));
+            }
+            if self.pending_transition {
+                return Some(self.transition(block_tables, exec_table, max_ahead));
+            }
+            if table_of(block_tables, self.exec).map(BlockCorrelationTable::stamp) != seg.stamp {
+                self.rebuild();
+                return None;
+            }
+            if replay.expanded < seg.discovered.len() {
+                replay.expanded += 1;
+                self.pending_transition = seg.met_end && replay.expanded == seg.discovered.len();
+            } else {
+                self.pending_transition = true;
+            }
+        }
+    }
+
+    /// Ends the replay, rebuilding `visited`, `emit_q` and `frontier` as
+    /// the live walk would hold them at this point of the segment.
+    fn rebuild(&mut self) {
+        let Some(replay) = self.replay.take() else {
+            return;
+        };
+        let seg = &self.segments[self.exec.index()];
+        let known = seg.known(replay.expanded);
+        self.visited.clear();
+        for &b in &seg.order[..known] {
+            self.visited.insert(b);
+        }
+        self.emit_q.extend(&seg.order[replay.emitted..known]);
+        self.frontier
+            .extend(seg.frontier(replay.expanded, self.pending_transition));
+    }
+
     /// Writes the whole walk state into a checkpoint payload; block lists
-    /// keep their queue order so a restored walk resumes identically.
+    /// keep their queue order so a restored walk resumes identically. A
+    /// replayed walk writes the live state its replay stands for, so the
+    /// bytes never show whether a segment was replayed.
     pub(crate) fn encode_into(&self, w: &mut SnapshotWriter) {
         w.u32(self.exec.0);
         for h in self.history {
@@ -288,19 +477,28 @@ impl ChainWalk {
         w.bool(self.paused);
         w.bool(self.ended);
         w.u64(deepum_mem::u64_from_usize(self.kernels_ahead));
-        for list in [&self.emit_q, &self.frontier] {
-            w.u64(deepum_mem::u64_from_usize(list.len()));
-            for &b in list {
-                w.block(b);
+        let Some(replay) = self.replay else {
+            for list in [&self.emit_q, &self.frontier] {
+                write_blocks(w, list.len(), list.iter().copied());
             }
-        }
-        w.u64(deepum_mem::u64_from_usize(self.visited.len()));
-        for b in self.visited.iter() {
-            w.block(b);
-        }
+            write_blocks(w, self.visited.len(), self.visited.iter());
+            return;
+        };
+        let seg = &self.segments[self.exec.index()];
+        let known = seg.known(replay.expanded);
+        let emit_q = &seg.order[replay.emitted..known];
+        write_blocks(w, emit_q.len(), emit_q.iter().copied());
+        let frontier = || seg.frontier(replay.expanded, self.pending_transition);
+        write_blocks(w, frontier().count(), frontier());
+        // The visited set iterates in ascending block order. Only a
+        // checkpoint of a replayed walk pays for this copy.
+        let mut visited = seg.order[..known].to_vec();
+        visited.sort_unstable();
+        write_blocks(w, visited.len(), visited.into_iter());
     }
 
-    /// Reads a walk written by [`ChainWalk::encode_into`].
+    /// Reads a walk written by [`ChainWalk::encode_into`]; it resumes
+    /// live, with no recorded segments.
     pub(crate) fn decode_from(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let exec = ExecId(r.u32()?);
         let mut history = [ExecId(0); 3];
@@ -338,6 +536,8 @@ impl ChainWalk {
             emit_q,
             frontier,
             visited,
+            segments: Vec::new(), // deepum-tidy: allow(hot-path-alloc) -- empty until a transition records a segment; no heap allocation
+            replay: None,
         })
     }
 
@@ -363,12 +563,19 @@ impl ChainWalk {
         self.frontier.clear();
         self.emit_q.clear();
         self.visited.clear();
+        self.replay = None;
 
-        match table_of(block_tables, predicted).and_then(|t| t.start()) {
-            Some(start) => {
-                self.visited.insert(start);
-                self.emit_q.push_back(start);
-                self.frontier.push_back(start);
+        match table_of(block_tables, predicted).and_then(|t| Some((t, t.start()?))) {
+            Some((table, start)) => {
+                let idx = predicted.index();
+                if self.segments.len() <= idx {
+                    self.segments.resize_with(idx + 1, Segment::default);
+                }
+                let seg = &mut self.segments[idx];
+                if seg.stamp != Some(table.stamp()) {
+                    seg.record(table, start, &mut self.visited, &mut self.frontier);
+                }
+                self.replay = Some(Replay::default());
             }
             None => {
                 // The predicted kernel has never faulted (its working
@@ -663,21 +870,21 @@ mod restart_tests {
 
     use super::*;
 
-    type Tables = (Vec<Option<BlockCorrelationTable>>, ExecCorrelationTable);
+    pub(super) type Tables = (Vec<Option<BlockCorrelationTable>>, ExecCorrelationTable);
 
-    fn encoded(walk: &ChainWalk) -> Vec<u8> {
+    pub(super) fn encoded(walk: &ChainWalk) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         walk.encode_into(&mut w);
         w.finish()
     }
 
     /// A block in one of two VA stripes.
-    fn block(rng: &mut DetRng) -> BlockNum {
+    pub(super) fn block(rng: &mut DetRng) -> BlockNum {
         let stripe = rng.below(2) * 5;
         BlockNum::new((stripe << STRIPE_BLOCK_SHIFT) + rng.below(48))
     }
 
-    fn pick<T: Copy>(rng: &mut DetRng, items: &[T]) -> T {
+    pub(super) fn pick<T: Copy>(rng: &mut DetRng, items: &[T]) -> T {
         items[usize::try_from(rng.below(items.len() as u64)).unwrap()]
     }
 
@@ -685,7 +892,7 @@ mod restart_tests {
     /// fills the execution table, and each kernel's block table (one is
     /// sometimes missing) gets random pairs and anchors. Returns the
     /// tables and the (exec, history) contexts the sequence visited.
-    fn random_tables(rng: &mut DetRng) -> (Tables, Vec<(ExecId, [ExecId; 3])>) {
+    pub(super) fn random_tables(rng: &mut DetRng) -> (Tables, Vec<(ExecId, [ExecId; 3])>) {
         const KERNELS: u32 = 4;
         let mut seq: Vec<ExecId> = (0..3).map(ExecId).collect();
         for _ in 0..40 {
@@ -837,5 +1044,356 @@ mod restart_tests {
         assert_eq!(set.iter().count(), 0);
         assert!(set.insert(a) && set.insert(b));
         assert_eq!(set.iter().collect::<Vec<_>>(), vec![a, b]);
+    }
+}
+
+/// The walk as it was before segments were recorded: the reference the
+/// replaying walk must match step for step and byte for byte.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// The walk without recorded segments: every segment is walked live,
+    /// breadth first, at every step.
+    #[derive(Debug, Clone)]
+    pub struct ReferenceWalk {
+        exec: ExecId,
+        history: [ExecId; 3],
+        origin: BlockNum,
+        seeded: bool,
+        pending_transition: bool,
+        paused: bool,
+        ended: bool,
+        kernels_ahead: usize,
+        /// Blocks discovered but not yet handed to the prefetch queue.
+        emit_q: VecDeque<BlockNum>,
+        /// Blocks whose successors have not been expanded yet.
+        frontier: VecDeque<BlockNum>,
+        visited: VisitedSet,
+    }
+
+    impl ReferenceWalk {
+        /// Starts a walk at `fault_block`, the most recently faulted block of
+        /// the kernel with execution ID `exec`; `history` is the three
+        /// kernels that ran before `exec` (oldest first).
+        pub fn new(exec: ExecId, history: [ExecId; 3], fault_block: BlockNum) -> Self {
+            let mut walk = ReferenceWalk {
+                exec,
+                history,
+                origin: fault_block,
+                seeded: false,
+                pending_transition: false,
+                paused: false,
+                ended: false,
+                kernels_ahead: 0,
+                emit_q: VecDeque::new(),
+                frontier: VecDeque::new(),
+                visited: VisitedSet::new(),
+            };
+            walk.visited.insert(fault_block);
+            walk
+        }
+
+        /// Slides the look-ahead window after a kernel transition on the GPU:
+        /// un-pauses the walk and decrements the ahead count.
+        pub fn on_kernel_advanced(&mut self) {
+            self.kernels_ahead = self.kernels_ahead.saturating_sub(1);
+            self.paused = false;
+        }
+
+        /// Advances the walk by one step.
+        ///
+        /// `block_tables` is indexed by execution ID (`None` = table not yet
+        /// allocated); `max_ahead` is the prefetch degree `N`.
+        pub fn step(
+            &mut self,
+            block_tables: &[Option<BlockCorrelationTable>],
+            exec_table: &ExecCorrelationTable,
+            max_ahead: usize,
+        ) -> ChainStep {
+            if self.ended {
+                return ChainStep::Ended;
+            }
+            if self.paused {
+                return ChainStep::Paused;
+            }
+            loop {
+                // Discovered blocks go out first.
+                if let Some(block) = self.emit_q.pop_front() {
+                    return ChainStep::Emit(PrefetchCommand {
+                        block,
+                        exec: self.exec,
+                    });
+                }
+                if self.pending_transition {
+                    return self.transition(block_tables, exec_table, max_ahead);
+                }
+
+                let Some(table) = table_of(block_tables, self.exec) else {
+                    self.ended = true;
+                    return ChainStep::Ended;
+                };
+
+                // Pick the next block whose successors to expand.
+                let block = if !self.seeded {
+                    self.seeded = true;
+                    self.origin
+                } else {
+                    match self.frontier.pop_front() {
+                        Some(b) => b,
+                        None => {
+                            // This kernel's recorded pattern is walked out
+                            // without meeting the end block (its start/end
+                            // anchors were rewritten by a residual-fault
+                            // execution). Hop to the predicted next kernel —
+                            // the chain only truly ends on prediction failure.
+                            self.pending_transition = true;
+                            continue;
+                        }
+                    }
+                };
+
+                // Expand: every newly met successor is a prefetch candidate.
+                // Meeting the end block stops expansion for this kernel — but
+                // the successors met so far (including the end block itself)
+                // are still prefetched, as in the paper's Fig. 7 walk-through.
+                let mut met_end = false;
+                for &succ in table.successors(block) {
+                    if self.visited.insert(succ) {
+                        self.emit_q.push_back(succ);
+                        if table.end() == Some(succ) {
+                            met_end = true;
+                        } else {
+                            self.frontier.push_back(succ);
+                        }
+                    } else if table.end() == Some(succ) {
+                        met_end = true;
+                    }
+                }
+                if met_end {
+                    self.pending_transition = true;
+                    self.frontier.clear();
+                }
+            }
+        }
+
+        /// Writes the whole walk state into a checkpoint payload; block lists
+        /// keep their queue order so a restored walk resumes identically.
+        pub(super) fn encode_into(&self, w: &mut SnapshotWriter) {
+            w.u32(self.exec.0);
+            for h in self.history {
+                w.u32(h.0);
+            }
+            w.block(self.origin);
+            w.bool(self.seeded);
+            w.bool(self.pending_transition);
+            w.bool(self.paused);
+            w.bool(self.ended);
+            w.u64(deepum_mem::u64_from_usize(self.kernels_ahead));
+            for list in [&self.emit_q, &self.frontier] {
+                w.u64(deepum_mem::u64_from_usize(list.len()));
+                for &b in list {
+                    w.block(b);
+                }
+            }
+            w.u64(deepum_mem::u64_from_usize(self.visited.len()));
+            for b in self.visited.iter() {
+                w.block(b);
+            }
+        }
+
+        fn transition(
+            &mut self,
+            block_tables: &[Option<BlockCorrelationTable>],
+            exec_table: &ExecCorrelationTable,
+            max_ahead: usize,
+        ) -> ChainStep {
+            if self.kernels_ahead >= max_ahead {
+                self.paused = true;
+                return ChainStep::Paused;
+            }
+            let Some(predicted) = exec_table.predict(self.exec, self.history) else {
+                self.ended = true;
+                return ChainStep::Ended;
+            };
+            self.history = [self.history[1], self.history[2], self.exec];
+            self.exec = predicted;
+            self.kernels_ahead += 1;
+            self.pending_transition = false;
+            self.seeded = true;
+            self.frontier.clear();
+            self.emit_q.clear();
+            self.visited.clear();
+
+            match table_of(block_tables, predicted).and_then(|t| t.start()) {
+                Some(start) => {
+                    self.visited.insert(start);
+                    self.emit_q.push_back(start);
+                    self.frontier.push_back(start);
+                }
+                None => {
+                    // The predicted kernel has never faulted (its working
+                    // set is always resident): nothing to prefetch for it —
+                    // hop onwards at the next step instead of ending.
+                    self.pending_transition = true;
+                }
+            }
+            ChainStep::Transition {
+                predicted,
+                ahead: self.kernels_ahead,
+            }
+        }
+    }
+}
+
+/// The segment-replaying walk against the live breadth-first reference,
+/// while the tables change under it between steps.
+#[cfg(test)]
+mod replay_tests {
+    use deepum_sim::rng::DetRng;
+
+    use super::reference::ReferenceWalk;
+    use super::restart_tests::{block, encoded, pick, random_tables, Tables};
+    use super::*;
+
+    fn reference_encoded(walk: &ReferenceWalk) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        walk.encode_into(&mut w);
+        w.finish()
+    }
+
+    /// What the replaying walk did while it matched the reference.
+    #[derive(Debug, Default)]
+    struct Seen {
+        /// Transitions that replayed a segment recorded earlier.
+        hits: usize,
+        /// Transitions that recorded their segment.
+        records: usize,
+        /// Steps that left a replay because its table had changed.
+        rebuilds: usize,
+        /// Encodings taken while a segment was being replayed.
+        replay_encodes: usize,
+    }
+
+    /// Runs `ops` random operations on a replaying walk and a reference
+    /// walk in lockstep: steps (compared), table updates (`record_pair`,
+    /// `set_start`, `set_end`; half of them on the kernel being walked),
+    /// restarts, window slides, look-ahead changes (0 to 4) and encodings
+    /// (compared).
+    fn differential(
+        (tables, exec): &mut Tables,
+        contexts: &[(ExecId, [ExecId; 3])],
+        blocks: &[BlockNum],
+        rng: &mut DetRng,
+        ops: usize,
+        seen: &mut Seen,
+    ) {
+        let (exec0, history0) = contexts[0];
+        let mut walk = ChainWalk::new(exec0, history0, blocks[0]);
+        let mut reference = ReferenceWalk::new(exec0, history0, blocks[0]);
+        let mut max_ahead = 2;
+        for _ in 0..ops {
+            match rng.below(100) {
+                0..=67 => {
+                    let recorded: Vec<_> = walk.segments.iter().map(|s| s.stamp).collect();
+                    let replaying = walk.replay.is_some();
+                    let step = reference.step(tables, exec, max_ahead);
+                    assert_eq!(walk.step(tables, exec, max_ahead), step);
+                    match step {
+                        ChainStep::Transition { predicted, .. } if walk.replay.is_some() => {
+                            let idx = predicted.index();
+                            if recorded.get(idx).copied().flatten() == walk.segments[idx].stamp {
+                                seen.hits += 1;
+                            } else {
+                                seen.records += 1;
+                            }
+                        }
+                        ChainStep::Transition { .. } => {}
+                        _ if replaying && walk.replay.is_none() => seen.rebuilds += 1,
+                        _ => {}
+                    }
+                }
+                68..=74 => {
+                    let target = if rng.below(2) == 0 {
+                        walk.exec
+                    } else {
+                        ExecId(u32::try_from(rng.below(tables.len() as u64)).unwrap())
+                    };
+                    if let Some(t) = tables.get_mut(target.index()).and_then(Option::as_mut) {
+                        match rng.below(6) {
+                            0 => t.set_start(pick(rng, blocks)),
+                            1 => t.set_end(pick(rng, blocks)),
+                            _ => t.record_pair(pick(rng, blocks), pick(rng, blocks)),
+                        }
+                    }
+                }
+                75..=82 => {
+                    let (cur, history) = pick(rng, contexts);
+                    let fault = pick(rng, blocks);
+                    walk.restart(cur, history, fault);
+                    reference = ReferenceWalk::new(cur, history, fault);
+                }
+                83..=90 => {
+                    walk.on_kernel_advanced();
+                    reference.on_kernel_advanced();
+                }
+                91..=94 => max_ahead = usize::try_from(rng.below(5)).unwrap(),
+                _ => {
+                    if walk.replay.is_some() {
+                        seen.replay_encodes += 1;
+                    }
+                    assert_eq!(encoded(&walk), reference_encoded(&reference));
+                }
+            }
+        }
+        assert_eq!(encoded(&walk), reference_encoded(&reference));
+    }
+
+    fn assert_all_paths(seen: &Seen) {
+        assert!(
+            seen.hits > 20 && seen.records > 20 && seen.rebuilds > 5 && seen.replay_encodes > 5,
+            "{seen:?}"
+        );
+    }
+
+    #[test]
+    fn replay_matches_reference_on_fig7() {
+        let mut tables = super::tests::fig7();
+        let contexts = [
+            (ExecId(0), [ExecId(10), ExecId(11), ExecId(12)]),
+            (ExecId(1), [ExecId(11), ExecId(12), ExecId(0)]),
+            (ExecId(0), [ExecId(1), ExecId(2), ExecId(3)]),
+        ];
+        let blocks: Vec<BlockNum> = (0..24).map(BlockNum::new).collect();
+        let mut rng = DetRng::seed(3);
+        let mut seen = Seen::default();
+        differential(&mut tables, &contexts, &blocks, &mut rng, 50_000, &mut seen);
+        assert_all_paths(&seen);
+    }
+
+    #[test]
+    fn replay_matches_reference_on_ring() {
+        let mut tables = super::more_tests::ring();
+        let contexts = [
+            (ExecId(0), [ExecId(1), ExecId(0), ExecId(1)]),
+            (ExecId(1), [ExecId(0), ExecId(1), ExecId(0)]),
+        ];
+        let blocks: Vec<BlockNum> = [0, 1, 2, 3, 10, 11, 12, 13].map(BlockNum::new).to_vec();
+        let mut rng = DetRng::seed(5);
+        let mut seen = Seen::default();
+        differential(&mut tables, &contexts, &blocks, &mut rng, 20_000, &mut seen);
+        assert_all_paths(&seen);
+    }
+
+    #[test]
+    fn replay_matches_reference_on_random_tables() {
+        let mut seen = Seen::default();
+        for seed in 0..24 {
+            let mut rng = DetRng::seed(100 + seed);
+            let (mut tables, contexts) = random_tables(&mut rng);
+            let blocks: Vec<BlockNum> = (0..16).map(|_| block(&mut rng)).collect();
+            differential(&mut tables, &contexts, &blocks, &mut rng, 3_000, &mut seen);
+        }
+        assert_all_paths(&seen);
     }
 }

@@ -243,7 +243,9 @@ pub fn snapshot_deepum(d: &DeepumDriver) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Any [`SnapshotError`] from envelope validation or payload decode. On
+/// Any [`SnapshotError`] from envelope validation or payload decode; a
+/// block table whose geometry is not `d`'s configured one is
+/// [`SnapshotError::Corrupt`]. On
 /// error the driver may hold a partially restored state and must not be
 /// used — the executor treats a failed restore as an unrecoverable run.
 pub fn restore_deepum(d: &mut DeepumDriver, bytes: &[u8]) -> Result<(), SnapshotError> {
@@ -251,11 +253,17 @@ pub fn restore_deepum(d: &mut DeepumDriver, bytes: &[u8]) -> Result<(), Snapshot
     deepum_um::snapshot::read_driver_state(&mut d.um, &mut r)?;
     let exec_corr = ExecCorrelationTable::decode_from(&mut r)?;
 
+    let cfg = d.config();
+    let geometry = (
+        cfg.block_table_rows,
+        cfg.block_table_assoc,
+        cfg.block_table_succs,
+    );
     let num_tables = r.len_prefix(1)?;
     let mut block_tables = Vec::with_capacity(num_tables);
     for _ in 0..num_tables {
         block_tables.push(if r.bool()? {
-            Some(BlockCorrelationTable::decode_from(&mut r)?)
+            Some(BlockCorrelationTable::decode_from(&mut r, geometry)?)
         } else {
             None
         });
