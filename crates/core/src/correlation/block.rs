@@ -43,7 +43,7 @@ impl Clone for TableId {
 /// equal stamps mean the same table with the same contents, so a walk
 /// recorded under one stamp is still the walk of a table that shows it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TableStamp {
+pub(crate) struct TableStamp {
     table: u64,
     version: u64,
 }
@@ -209,9 +209,7 @@ impl BlockCorrelationTable {
         let found = self.tags[first..first + used]
             .iter()
             .position(|&t| t == prev);
-        let mut changed = found != Some(0);
         match found {
-            Some(0) => {}
             Some(w) => self.rotate_ways(first, w),
             None => {
                 // A new way enters at the front; in a full set the LRU
@@ -226,22 +224,20 @@ impl BlockCorrelationTable {
 
         let count = self.succs_used[first] as usize;
         let list = self.way_succs_mut(first, 1);
-        let mut used = count;
-        match list[..count].iter().position(|&s| s == succ) {
-            Some(0) => {}
+        let (moved, count) = match list[..count].iter().position(|&s| s == succ) {
             Some(p) => {
                 list[..=p].rotate_right(1);
-                changed = true;
+                (p != 0, count)
             }
             None => {
-                used = (count + 1).min(list.len());
-                list[..used].rotate_right(1);
+                let count = (count + 1).min(list.len());
+                list[..count].rotate_right(1);
                 list[0] = succ;
-                changed = true;
+                (true, count)
             }
-        }
-        self.succs_used[first] = used as u32;
-        if changed {
+        };
+        self.succs_used[first] = count as u32;
+        if moved || found != Some(0) {
             self.version += 1;
         }
     }
@@ -295,7 +291,7 @@ impl BlockCorrelationTable {
 
     /// The current contents' stamp: it changes whenever a successor list
     /// or an anchor changes, and never repeats across tables.
-    pub fn stamp(&self) -> TableStamp {
+    pub(crate) fn stamp(&self) -> TableStamp {
         TableStamp {
             table: self.id.0,
             version: self.version,
