@@ -29,7 +29,7 @@ use deepum_core::recovery::{JournalEntry, LaunchJournal, RecoveryReport};
 use deepum_gpu::engine::{BackendError, EngineError, GpuEngine, UmBackend};
 use deepum_gpu::fault::AccessKind;
 use deepum_gpu::kernel::{BlockAccess, KernelLaunch};
-use deepum_mem::{u64_from_usize, ByteRange, PageMask, UmAddr, PAGE_SIZE};
+use deepum_mem::{u64_from_usize, ByteRange, PageMask, UmAddr, PAGE_BYTES, PAGE_SIZE};
 use deepum_runtime::interpose::{CudaRuntime, LaunchObserver};
 use deepum_sim::clock::SimClock;
 use deepum_sim::costs::CostModel;
@@ -367,6 +367,9 @@ pub struct UmStepper {
     events: Vec<PtEvent>,
     /// Scratch page masks for gather sampling; never checkpointed.
     gather_scratch: Vec<PageMask>,
+    /// The launch access buffer [`build_launch`] fills and takes back
+    /// after each kernel; never checkpointed.
+    accesses: Vec<BlockAccess>,
     cadence: Option<u64>,
     recovery: Option<RecoveryReport>,
     ring: CheckpointRing<Option<TransientInjectorState>>,
@@ -416,6 +419,7 @@ impl UmStepper {
             st,
             events: Vec::new(),
             gather_scratch: Vec::new(),
+            accesses: Vec::new(),
             cadence,
             recovery: cadence.map(|_| RecoveryReport::default()),
             ring: CheckpointRing::new(DEFAULT_RING_DEPTH),
@@ -598,10 +602,11 @@ impl UmStepper {
             return Ok(false);
         }
 
-        let launch = build_launch(
+        let mut launch = build_launch(
             k,
             &self.st.tensors,
             &mut self.st.gather_cache,
+            core::mem::take(&mut self.accesses),
             &mut self.gather_scratch,
             &mut self.st.rng,
             &self.cfg.perf,
@@ -625,10 +630,11 @@ impl UmStepper {
                 name: launch.name.to_string(),
             });
         }
-        match self
+        let ran = self
             .engine
-            .execute(&launch, &mut self.st.clock, backend, &mut self.st.energy)
-        {
+            .execute(&launch, &mut self.st.clock, backend, &mut self.st.energy);
+        self.accesses = core::mem::take(&mut launch.accesses);
+        match ran {
             Ok(stats) => {
                 self.st.compute += stats.compute;
                 self.st.stall += stats.stall;
@@ -1022,16 +1028,20 @@ where
 }
 
 /// Converts a kernel step into a concrete launch with block accesses.
-/// `gather_scratch` is [`sample_gather`]'s reusable page-mask buffer.
+/// `accesses` is the executor's reusable access buffer: it is cleared,
+/// filled and moved into the launch, and the caller takes it back from
+/// `launch.accesses` once the kernel has run. `gather_scratch` is
+/// [`sample_gather`]'s reusable page-mask buffer.
 fn build_launch(
     k: &KernelStep,
     tensors: &TensorMap,
     gather_cache: &mut GatherCache,
+    mut accesses: Vec<BlockAccess>,
     gather_scratch: &mut Vec<PageMask>,
     rng: &mut DetRng,
     perf: &PerfModel,
 ) -> Result<KernelLaunch, RunError> {
-    let mut accesses = Vec::new();
+    accesses.clear();
     let mut bytes = 0u64;
     for (ids, kind) in [(&k.reads, AccessKind::Read), (&k.writes, AccessKind::Write)] {
         for id in ids {
@@ -1078,30 +1088,70 @@ fn sample_gather(
     let (_, range) = tensors
         .get(&g.table)
         .ok_or_else(|| RunError::Driver(format!("gather of unmapped table {}", g.table)))?;
-    let rows = range.len() / g.row_bytes as u64;
-    if rows == 0 {
+    if range.len() < u64::from(g.row_bytes) {
         return Ok(Vec::new());
     }
     let first = range.start().block();
     masks.clear();
     masks.resize(range.blocks().len(), PageMask::empty());
-    let zipf = (g.skew > 0.0).then(|| Zipf::new(rows, g.skew));
-    for _ in 0..g.lookups {
-        let row = match &zipf {
-            Some(zipf) => zipf.sample(rng),
-            None => rng.below(rows),
-        };
-        // A row may span two pages; touching its first page captures the
-        // access pattern at fault granularity.
-        let page = UmAddr::new(range.start().raw() + row * g.row_bytes as u64).page();
-        masks[(page.block().index() - first.index()) as usize].set(page.index_in_block());
-    }
+    mark_rows(g, *range, masks, rng);
     Ok(masks
         .iter()
         .enumerate()
         .filter(|(_, m)| !m.is_empty())
         .map(|(i, m)| BlockAccess::new(first.offset(u64_from_usize(i)), *m, AccessKind::Read))
         .collect())
+}
+
+/// Draws `g.lookups` rows of the table at `range` (at least one row
+/// long) and marks each row's first page in `masks`, indexed from the
+/// table's first block. Returns how many lookups only advanced `rng`.
+///
+/// When rows are no longer than a page, consecutive rows' first pages
+/// are equal or adjacent, so every page from row 0's to the last row's
+/// is reachable. Once all of them are marked no draw can change a mask,
+/// and each remaining lookup advances `rng` as its draw would have: one
+/// `unit_f64` per Zipf draw (see [`Zipf::sample`]), one `below` per
+/// uniform draw. The masks and the stream afterwards are those of
+/// drawing every row.
+fn mark_rows(g: &GatherAccess, range: ByteRange, masks: &mut [PageMask], rng: &mut DetRng) -> u32 {
+    let row_bytes = u64::from(g.row_bytes);
+    let rows = range.len() / row_bytes;
+    let first = range.start().block();
+    let zipf = (g.skew > 0.0).then(|| Zipf::new(rows, g.skew));
+    // A row may span two pages; touching its first page captures the
+    // access pattern at fault granularity.
+    let page_of = |row: u64| UmAddr::new(range.start().raw() + row * row_bytes).page();
+    // Reachable pages not yet marked; `u64::MAX` (never reached by
+    // `u32` lookups) when rows span pages and some may be unreachable.
+    let mut unmarked = if row_bytes <= PAGE_BYTES {
+        page_of(rows - 1).index() - page_of(0).index() + 1
+    } else {
+        u64::MAX
+    };
+    let mut lookups = g.lookups;
+    while lookups > 0 && unmarked > 0 {
+        lookups -= 1;
+        let row = match &zipf {
+            Some(zipf) => zipf.sample(rng),
+            None => rng.below(rows),
+        };
+        let page = page_of(row);
+        let mask = &mut masks[(page.block().index() - first.index()) as usize];
+        let bit = page.index_in_block();
+        if !mask.get(bit) {
+            mask.set(bit);
+            unmarked -= 1;
+        }
+    }
+    for _ in 0..lookups {
+        if zipf.is_some() {
+            rng.unit_f64();
+        } else {
+            rng.below(rows);
+        }
+    }
+    lookups
 }
 
 #[cfg(test)]
@@ -1112,6 +1162,7 @@ mod tests {
     use deepum_core::driver::DeepumDriver;
     use deepum_mem::{BlockNum, BLOCK_SIZE};
     use deepum_torch::models::ModelKind;
+    use std::collections::BTreeSet;
 
     fn tiny_costs(device_mb: u64, host_mb: u64) -> CostModel {
         CostModel::v100_32gb()
@@ -1273,5 +1324,94 @@ mod tests {
                 assert_eq!(a.next_u64(), b.next_u64(), "streams stay in step");
             }
         }
+    }
+
+    /// Gather sampling that computes every draw's row and page: the
+    /// loop `sample_gather` ran before it stopped at saturation.
+    fn sample_gather_per_draw(
+        g: &GatherAccess,
+        range: ByteRange,
+        masks: &mut Vec<PageMask>,
+        rng: &mut DetRng,
+    ) -> Vec<BlockAccess> {
+        let rows = range.len() / g.row_bytes as u64;
+        if rows == 0 {
+            return Vec::new();
+        }
+        let first = range.start().block();
+        masks.clear();
+        masks.resize(range.blocks().len(), PageMask::empty());
+        let zipf = (g.skew > 0.0).then(|| Zipf::new(rows, g.skew));
+        for _ in 0..g.lookups {
+            let row = match &zipf {
+                Some(zipf) => zipf.sample(rng),
+                None => rng.below(rows),
+            };
+            let page = UmAddr::new(range.start().raw() + row * g.row_bytes as u64).page();
+            masks[(page.block().index() - first.index()) as usize].set(page.index_in_block());
+        }
+        masks
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| !m.is_empty())
+            .map(|(i, m)| BlockAccess::new(first.offset(u64_from_usize(i)), *m, AccessKind::Read))
+            .collect()
+    }
+
+    /// Stopping at saturation changes neither the masks, nor their
+    /// order, nor the stream: rows within and beyond a page, tables from
+    /// one row to 100k, uniform and skewed draws, and tables starting on
+    /// a block, mid-block and mid-page, all sampled through one scratch
+    /// buffer so a stale mask would show.
+    #[test]
+    fn sample_gather_matches_per_draw_reference() {
+        let starts = [
+            100 * BLOCK_SIZE as u64,
+            3 * BLOCK_SIZE as u64 + 37 * PAGE_BYTES,
+            7 * BLOCK_SIZE as u64 + 12_345,
+        ];
+        let (mut scratch, mut reference_scratch) = (Vec::new(), Vec::new());
+        let mut skipped = 0;
+        let mut case = 0u64;
+        for row_bytes in [512u32, 4096, 6000] {
+            for rows in [1u64, 4, 27, 968, 100_000] {
+                for (s, &start) in starts.iter().enumerate() {
+                    // A partial row at the end is never drawn.
+                    let range =
+                        ByteRange::new(UmAddr::new(start), rows * u64::from(row_bytes) + 99);
+                    let mut tensors = TensorMap::new();
+                    tensors.insert(TensorId(0), (Default::default(), range));
+                    let row_page =
+                        |row: u64| UmAddr::new(start + row * u64::from(row_bytes)).page();
+                    let reachable = (0..rows).map(row_page).collect::<BTreeSet<_>>().len();
+                    for skew in [0.0, 1.0, 1.05] {
+                        let g = GatherAccess {
+                            table: TensorId(0),
+                            lookups: 20_000,
+                            row_bytes,
+                            skew,
+                        };
+                        case += 1;
+                        let (mut a, mut b) = (DetRng::seed(case), DetRng::seed(case));
+                        let got = sample_gather(&g, &tensors, &mut scratch, &mut a).unwrap();
+                        let want =
+                            sample_gather_per_draw(&g, range, &mut reference_scratch, &mut b);
+                        let what =
+                            format!("row_bytes {row_bytes} rows {rows} start {s} skew {skew}");
+                        assert_eq!(got, want, "{what}");
+                        assert_eq!(a.next_u64(), b.next_u64(), "{what}: streams stay in step");
+                        // Rerun the draws to see how many stopped early.
+                        let mut masks = vec![PageMask::empty(); range.blocks().len()];
+                        let left = mark_rows(&g, range, &mut masks, &mut DetRng::seed(case));
+                        if left > 0 {
+                            let marked: usize = want.iter().map(|a| a.pages.count()).sum();
+                            assert_eq!(marked, reachable, "{what}: stopped before saturation");
+                        }
+                        skipped += left;
+                    }
+                }
+            }
+        }
+        assert!(skipped > 0, "no case stopped early");
     }
 }

@@ -404,13 +404,7 @@ impl GpuEngine {
                     Some(inj) => inj.borrow_mut().effective_fault_batch(self.demand_batch),
                     None => self.demand_batch,
                 };
-                let mut pages = miss;
-                if before > batch_limit {
-                    pages = PageMask::empty();
-                    for idx in miss.iter_ones().take(batch_limit) {
-                        pages.set(idx);
-                    }
-                }
+                let pages = miss.lowest(batch_limit);
                 let batch = FaultEntry {
                     block: access.block,
                     pages,

@@ -197,6 +197,33 @@ impl PageMask {
             .all(|(a, b)| a & !b == 0)
     }
 
+    /// The lowest `n` set pages of `self`: all of them when fewer than
+    /// `n` are set. Whole words are kept while they fit, and only the
+    /// word holding the `n`-th set page is cut, so this is the
+    /// word-wise form of collecting `self.iter_ones().take(n)`.
+    pub fn lowest(&self, n: usize) -> PageMask {
+        let mut out = PageMask::empty();
+        let mut left = n;
+        for (o, &w) in out.words.iter_mut().zip(&self.words) {
+            // deepum-tidy: allow(cast-safety) -- count_ones() of a u64 is at most 64, far below usize::MAX
+            let ones = w.count_ones() as usize;
+            if ones <= left {
+                *o = w;
+                left -= ones;
+                continue;
+            }
+            // Clear the word's lowest `left` set bits; what remains is
+            // the part to drop.
+            let mut rest = w;
+            for _ in 0..left {
+                rest &= rest - 1;
+            }
+            *o = w ^ rest;
+            break;
+        }
+        out
+    }
+
     /// The raw backing words, least-significant page first. Paired with
     /// [`PageMask::from_words`] for binary snapshot encoding.
     #[inline]
@@ -432,6 +459,55 @@ mod tests {
                 if hi < PAGES_PER_BLOCK {
                     want.set(hi);
                 }
+            }
+        }
+    }
+
+    /// `lowest(n)` equals collecting `iter_ones().take(n)` bit by bit,
+    /// for every `n` and a spread of masks: empty, full, one word,
+    /// alternating bits and seeded random densities.
+    #[test]
+    fn lowest_matches_per_bit_take() {
+        let mut masks = vec![
+            PageMask::empty(),
+            PageMask::full(),
+            PageMask::from_range(64..128),
+            PageMask::from_words([0x5555_5555_5555_5555; WORDS]),
+            PageMask::from_words([0xAAAA_AAAA_AAAA_AAAA; WORDS]),
+        ];
+        // SplitMix64, so the masks need no RNG crate.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for i in 0..1024 {
+            // Thin, half and dense masks, and some with empty words.
+            let words = core::array::from_fn(|_| match i % 4 {
+                0 => next() & next() & next(),
+                1 => next(),
+                2 => next() | next(),
+                _ => {
+                    let w = next();
+                    if w % 3 == 0 {
+                        0
+                    } else {
+                        w
+                    }
+                }
+            });
+            masks.push(PageMask::from_words(words));
+        }
+        for m in &masks {
+            for n in 0..=PAGES_PER_BLOCK {
+                let mut want = PageMask::empty();
+                for idx in m.iter_ones().take(n) {
+                    want.set(idx);
+                }
+                assert_eq!(m.lowest(n).words, want.words, "{:x?} n={n}", m.words);
             }
         }
     }

@@ -170,7 +170,10 @@ impl Zipf {
         }
     }
 
-    /// One draw by inverse-CDF sampling, consuming one `unit_f64`.
+    /// One draw by inverse-CDF sampling. It consumes exactly one
+    /// `unit_f64` and nothing else, so `k` draws leave `rng` where `k`
+    /// `unit_f64` calls do: a caller that no longer needs the rows may
+    /// advance the stream by `unit_f64` alone and stay in step.
     pub fn sample(&self, rng: &mut DetRng) -> u64 {
         let u = rng.unit_f64();
         let idx = if self.flat {
@@ -213,6 +216,25 @@ mod tests {
                     );
                 }
                 assert_eq!(a.next_u64(), b.next_u64(), "streams stay in step");
+            }
+        }
+    }
+
+    /// `k` Zipf draws advance the stream exactly as `k` `unit_f64`
+    /// calls do, whatever the skew and table size.
+    #[test]
+    fn zipf_sample_consumes_one_unit_f64() {
+        for skew in [0.5, 1.0, 1.05] {
+            for n in [1u64, 4, 27, 5_652, 10_000_000] {
+                let zipf = Zipf::new(n, skew);
+                for k in [0, 1, 2, 1_000] {
+                    let (mut a, mut b) = (DetRng::seed(k + n), DetRng::seed(k + n));
+                    for _ in 0..k {
+                        zipf.sample(&mut a);
+                        b.unit_f64();
+                    }
+                    assert_eq!(a.state(), b.state(), "k={k} n={n} skew={skew}");
+                }
             }
         }
     }

@@ -1,19 +1,24 @@
-//! A few DeepUM cells must reproduce their committed report digests.
+//! A few cells must reproduce their committed report digests.
 //!
 //! `deepum_suite --baseline ci/bench-baseline.json` checks all 176 cells,
 //! but only when someone runs it. These cells are cheap enough for the
 //! root package's tests, so a drift in the chain walk, the correlation
-//! tables or the prefetch path fails `cargo test` too.
+//! tables, the prefetch path, the GPU engine's fault batches or the
+//! executor's gather sampling fails `cargo test` too.
 
 use deepum_bench::suite::{run_cell, suite_cells, SuiteBaseline};
 
-/// The two smallest Fig. 9 DeepUM cells, and the Fig. 12 geometry cell
+/// The two smallest Fig. 9 DeepUM cells, the Fig. 12 geometry cell
 /// with the smallest table (128 rows, 2 ways, 4 successors), where set
-/// conflicts evict ways most often.
+/// conflicts evict ways most often, and two naive-UM cells: one whose
+/// faults fill whole blocks, so the engine splits them into batches,
+/// and DLRM's, whose gathers saturate the small embedding tables.
 const CELLS: &[&str] = &[
     "bert-large-b14-deepum-i2",
     "bert-large-b16-deepum-i2",
     "bert-large-b16-deepum-cfg0-i2",
+    "bert-large-b16-um-i2",
+    "dlrm-b96000-um-i2",
 ];
 
 fn read(relative: &str) -> String {
