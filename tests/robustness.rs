@@ -385,6 +385,57 @@ fn corrupt_newest_checkpoint_falls_back_and_converges() {
 }
 
 #[test]
+fn full_journal_forces_checkpoints_and_recovers() {
+    // The launch journal holds 256 kernel boundaries, and a cadence of
+    // 400 never comes due in this 348-launch run. At launch 256 the
+    // full journal forces checkpoints until the oldest of the three
+    // retained generations passes its entries: three images at seq 256
+    // on top of the initial one. The reset at seq 300 then replays the
+    // 44 launches since the newest of them.
+    let session = || small().iterations(4).checkpoint_every(400);
+    let tracer = deepum::trace::shared(deepum::trace::Tracer::export());
+    let interrupted = session()
+        .injection_plan(InjectionPlan {
+            device_reset_at: vec![300],
+            ..InjectionPlan::default()
+        })
+        .tracer(tracer.clone())
+        .run(SystemKind::DeepUm)
+        .unwrap();
+    assert_eq!(
+        interrupted.recovery,
+        Some(deepum::core::recovery::RecoveryReport {
+            checkpoints: 4,
+            snapshot_bytes: 3_818_473,
+            replay_kernels: 44,
+            downtime_ns: 8_866_069,
+            ecc_poisonings: 0,
+            restores: 1,
+        })
+    );
+    let replays: Vec<u64> = tracer
+        .borrow_mut()
+        .records()
+        .iter()
+        .filter_map(|r| match r.event {
+            deepum::TraceEvent::Restored { replayed } => Some(replayed),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(replays, vec![44]);
+
+    let mut recovered = strip_recovery(interrupted);
+    recovered.trace = None;
+    let clean = session().run(SystemKind::DeepUm).unwrap();
+    assert_eq!(
+        serde_json::to_string(&strip_recovery(clean)).unwrap(),
+        serde_json::to_string(&recovered).unwrap(),
+        "a run recovered through a full journal must converge to the \
+         uninterrupted run"
+    );
+}
+
+#[test]
 fn oversubscribed_ecc_retirement_terminates_typed_and_validates() {
     use deepum::baselines::report::RunError;
 
