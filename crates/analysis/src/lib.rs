@@ -7,10 +7,8 @@
 //! per-line lints ([`lints`]) pattern-match the masked code. On top of
 //! that, workspace passes ([`passes`]) check cross-file invariants
 //! (codec versions pinned by tests, trace vocabulary covered by golden
-//! traces, report `Option` fields omitted-not-null), and a ratcheted
-//! baseline ([`baseline`]) grandfathers existing debt while forbidding
-//! new debt. See DESIGN.md §10 and §15 for the contract and the
-//! suppression grammar:
+//! traces, report `Option` fields omitted-not-null). See DESIGN.md §10
+//! and §15 for the contract and the suppression grammar:
 //!
 //! ```text
 //! // deepum-tidy: allow(<lint-id>) -- <non-empty reason>
@@ -20,11 +18,10 @@
 //! covers the next code line. Suppressions that cover nothing are
 //! themselves violations (`suppression-hygiene`). Workspace-pass
 //! violations are not suppressible — the fix is a test, a golden
-//! trace, an attribute, or a baseline entry.
+//! trace, or an attribute.
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod lints;
 pub mod passes;
 pub mod scan;
@@ -46,8 +43,7 @@ pub struct Violation {
     pub col: usize,
     /// Exclusive end column of the offending pattern.
     pub end_col: usize,
-    /// Lint id (see [`lints::LINTS`]) or the synthetic
-    /// `baseline-ratchet`.
+    /// Lint id (see [`lints::LINTS`]).
     pub lint: String,
     /// Explanation plus the steer toward the fix.
     pub message: String,

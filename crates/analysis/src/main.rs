@@ -7,24 +7,20 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use deepum_analysis::baseline::Baseline;
 use deepum_analysis::{analyze_tree, render_human, render_json, Config};
 
 const USAGE: &str = "\
 usage: deepum-tidy [--check] [--json] [--only <lint,..>] [--skip <lint,..>]
-                   [--baseline <file>] [--write-baseline <file>] [--list] [root]
+                   [--list] [root]
 
 Runs the DeepUM workspace lints over every .rs file under <root>
 (default: current directory). See DESIGN.md §10 and §15 for the lint
-contract and the ratchet semantics.
+contract and the suppression grammar.
 
   --check               explicit check mode (the default; kept for CI readability)
   --json                machine-readable output (pass/file/span per violation)
   --only a,b            run only the named lints
   --skip a,b            run everything except the named lints
-  --baseline FILE       apply the ratchet: grandfathered (lint,file) counts are
-                        absorbed; new violations AND stale entries fail
-  --write-baseline FILE regenerate FILE from the current violations and exit
   --list                print registered lints and exit
   -h, --help            this text
 ";
@@ -49,8 +45,6 @@ fn run() -> Result<bool, String> {
     let mut json = false;
     let mut only: Vec<String> = Vec::new();
     let mut skip: Vec<String> = Vec::new();
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
@@ -67,18 +61,6 @@ fn run() -> Result<bool, String> {
             "-h" | "--help" => {
                 print!("{USAGE}");
                 return Ok(true);
-            }
-            "--baseline" => {
-                let path = args
-                    .next()
-                    .ok_or_else(|| format!("--baseline needs a file path\n{USAGE}"))?;
-                baseline_path = Some(PathBuf::from(path));
-            }
-            "--write-baseline" => {
-                let path = args
-                    .next()
-                    .ok_or_else(|| format!("--write-baseline needs a file path\n{USAGE}"))?;
-                write_baseline = Some(PathBuf::from(path));
             }
             "--only" | "--skip" => {
                 let list = args
@@ -98,14 +80,6 @@ fn run() -> Result<bool, String> {
                     only.extend(ids);
                 } else {
                     skip.extend(ids);
-                }
-            }
-            _ if arg.starts_with("--baseline=") || arg.starts_with("--write-baseline=") => {
-                let (flag, path) = arg.split_once('=').unwrap_or(("", ""));
-                if flag == "--baseline" {
-                    baseline_path = Some(PathBuf::from(path));
-                } else {
-                    write_baseline = Some(PathBuf::from(path));
                 }
             }
             _ if arg.starts_with('-') => {
@@ -129,29 +103,6 @@ fn run() -> Result<bool, String> {
 
     let root = root.unwrap_or_else(|| PathBuf::from("."));
     let violations = analyze_tree(&root, &cfg)?;
-
-    if let Some(path) = write_baseline {
-        let baseline = Baseline::from_violations(&violations);
-        std::fs::write(&path, baseline.render())
-            .map_err(|e| format!("failed to write {}: {e}", path.display()))?;
-        eprintln!(
-            "deepum-tidy: wrote baseline with {} violation(s) to {}",
-            violations.len(),
-            path.display()
-        );
-        return Ok(true);
-    }
-
-    let violations = match baseline_path {
-        Some(path) => {
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| format!("failed to read {}: {e}", path.display()))?;
-            let baseline = Baseline::parse(&text)
-                .map_err(|e| format!("bad baseline {}: {e}", path.display()))?;
-            baseline.apply(violations)
-        }
-        None => violations,
-    };
 
     if json {
         println!("{}", render_json(&violations));

@@ -17,8 +17,7 @@
 //!   serialization attribute, keeping report JSON free of `null`s.
 //!
 //! Workspace violations are not suppressible with `deepum-tidy:`
-//! comments: the fix is a test, a golden trace, or an attribute — or a
-//! grandfathered entry in `ci/tidy-baseline.json`.
+//! comments: the fix is a test, a golden trace, or an attribute.
 
 use crate::lints::{find_pattern, matches_pattern};
 use crate::scan::ScannedFile;

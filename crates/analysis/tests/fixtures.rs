@@ -5,7 +5,6 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use deepum_analysis::baseline::Baseline;
 use deepum_analysis::{
     analyze_source, analyze_tree, analyze_workspace, Config, InputFile, Violation, WorkspaceInput,
 };
@@ -256,22 +255,15 @@ fn workspace_fail_fixtures_are_quiet_when_their_lint_is_skipped() {
     }
 }
 
-/// The live workspace must be clean modulo the committed ratchet
-/// baseline — and the baseline itself must be tight: a stale entry
-/// (fixed violations still grandfathered) fails here too, enforcing the
-/// ratchet in both directions from tier-1.
+/// The live workspace must be deepum-tidy clean: every accepted site
+/// carries an inline suppression with its reason.
 #[test]
-fn live_workspace_is_clean_modulo_baseline() {
+fn live_workspace_is_clean() {
     let root: PathBuf = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let violations = analyze_tree(&root, &Config::all()).expect("workspace scan succeeds");
-    let baseline_path = root.join("ci/tidy-baseline.json");
-    let baseline_src = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", baseline_path.display()));
-    let baseline = Baseline::parse(&baseline_src).expect("committed baseline parses");
-    let violations = baseline.apply(violations);
     assert!(
         violations.is_empty(),
-        "the workspace must be deepum-tidy clean modulo ci/tidy-baseline.json:\n{}",
+        "the workspace must be deepum-tidy clean:\n{}",
         deepum_analysis::render_human(&violations)
     );
 }

@@ -24,6 +24,16 @@ use deepum_torch::alloc::{AllocError, CachingAllocator, DeviceHeap, PtBlockId, P
 use deepum_torch::perf::PerfModel;
 use deepum_torch::step::{Step, TensorId, Workload};
 
+/// Fixed cost of a fresh `cudaMalloc` segment allocation (what makes
+/// LMS-mod's per-iteration cache flush cost time).
+const CUDA_MALLOC_COST: Ns = Ns::from_micros(250);
+
+/// Effective bandwidth of tensor swaps, bytes/s. Tensor-granularity
+/// systems stage through (mostly pageable) host buffers and sync
+/// per-tensor, reaching roughly half of the raw PCIe DMA rate that
+/// driver-level UM page migration achieves.
+const STAGING_BANDWIDTH_BPS: f64 = 6.5e9;
+
 /// Configuration of a swap-path run.
 #[derive(Debug, Clone)]
 pub struct SwapRunConfig {
@@ -34,14 +44,6 @@ pub struct SwapRunConfig {
     pub costs: CostModel,
     /// Kernel-time model.
     pub perf: PerfModel,
-    /// Fixed cost of a fresh `cudaMalloc` segment allocation (what makes
-    /// LMS-mod's per-iteration cache flush cost time).
-    pub cuda_malloc_cost: Ns,
-    /// Effective bandwidth of tensor swaps, bytes/s. Tensor-granularity
-    /// systems stage through (mostly pageable) host buffers and sync
-    /// per-tensor, reaching roughly half of the raw PCIe DMA rate that
-    /// driver-level UM page migration achieves.
-    pub staging_bandwidth_bps: f64,
 }
 
 impl SwapRunConfig {
@@ -51,8 +53,6 @@ impl SwapRunConfig {
             iterations,
             costs: CostModel::v100_32gb(),
             perf: PerfModel::v100(),
-            cuda_malloc_cost: Ns::from_micros(250),
-            staging_bandwidth_bps: 6.5e9,
         }
     }
 }
@@ -60,7 +60,7 @@ impl SwapRunConfig {
 impl SwapRunConfig {
     /// Transfer time of one tensor swap through the host staging path.
     fn staging_transfer_time(&self, bytes: u64) -> Ns {
-        self.costs.pcie_latency + Ns::from_secs_f64(bytes as f64 / self.staging_bandwidth_bps)
+        self.costs.pcie_latency + Ns::from_secs_f64(bytes as f64 / STAGING_BANDWIDTH_BPS)
     }
 }
 
@@ -364,8 +364,7 @@ impl SwapExec<'_> {
             .saturating_sub(segments_before)
             + self.segments_seen_delta();
         if new_segments > 0 {
-            self.clock
-                .advance(self.cfg.cuda_malloc_cost * new_segments as u64);
+            self.clock.advance(CUDA_MALLOC_COST * new_segments as u64);
         }
 
         // Swap-in transfer only if the tensor carries data.
@@ -459,8 +458,6 @@ mod tests {
             iterations: iters,
             costs: CostModel::v100_32gb().with_device_memory(device_mb << 20),
             perf: PerfModel::v100(),
-            cuda_malloc_cost: Ns::from_micros(250),
-            staging_bandwidth_bps: 6.5e9,
         }
     }
 

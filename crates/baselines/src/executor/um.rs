@@ -22,10 +22,10 @@
 //! code path and differ only in the counter view they pass to `step`.
 
 use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use deepum_core::ckpt::{CheckpointRing, Generation, RecoveryError, DEFAULT_RING_DEPTH};
-use deepum_core::recovery::{JournalEntry, LaunchJournal, RecoveryReport};
+use deepum_core::recovery::RecoveryReport;
 use deepum_gpu::engine::{BackendError, EngineError, GpuEngine, UmBackend};
 use deepum_gpu::fault::AccessKind;
 use deepum_gpu::kernel::{BlockAccess, KernelLaunch};
@@ -374,7 +374,10 @@ pub struct UmStepper {
     recovery: Option<RecoveryReport>,
     ring: CheckpointRing<Option<TransientInjectorState>>,
     checkpoint_due: bool,
-    journal: LaunchJournal,
+    /// Launch sequence numbers since the oldest retained checkpoint,
+    /// ascending and at most [`JOURNAL_CAPACITY`] of them: a restore
+    /// replays the entries at or after its generation's mark.
+    journal: VecDeque<u64>,
     /// Extra generations consumed by restores skipping corrupt images.
     fallback_generations: u64,
     /// Whether the persistent tensors are allocated.
@@ -424,7 +427,7 @@ impl UmStepper {
             recovery: cadence.map(|_| RecoveryReport::default()),
             ring: CheckpointRing::new(DEFAULT_RING_DEPTH),
             checkpoint_due: cadence.is_some(),
-            journal: LaunchJournal::new(JOURNAL_CAPACITY),
+            journal: VecDeque::new(),
             fallback_generations: 0,
             started: false,
             done: false,
@@ -591,15 +594,12 @@ impl UmStepper {
         }
         // A full journal means too much un-checkpointed work: force a
         // checkpoint, then retry this step.
-        if self.cadence.is_some()
-            && !self.journal.record(JournalEntry {
-                seq: self.st.kernel_seq,
-                iter: u64_from_usize(self.st.iter),
-                step: u64_from_usize(self.st.step),
-            })
-        {
-            self.checkpoint_due = true;
-            return Ok(false);
+        if self.cadence.is_some() {
+            if self.journal.len() == JOURNAL_CAPACITY {
+                self.checkpoint_due = true;
+                return Ok(false);
+            }
+            self.journal.push_back(self.st.kernel_seq);
         }
 
         let mut launch = build_launch(
@@ -744,7 +744,9 @@ impl UmStepper {
         // Journal entries older than the oldest retained generation can
         // never be replayed again.
         if let Some(mark) = self.ring.oldest_mark() {
-            self.journal.evict_before(mark);
+            while self.journal.front().is_some_and(|&seq| seq < mark) {
+                self.journal.pop_front();
+            }
         }
         Ok(())
     }
@@ -823,8 +825,13 @@ impl UmStepper {
             }
         };
 
-        let replayed = u64_from_usize(self.journal.since(mark));
-        self.journal.truncate_to(mark);
+        // The run was rewound to `mark` and re-journals those launches
+        // as it replays them.
+        let mut replayed = 0;
+        while self.journal.back().is_some_and(|&seq| seq >= mark) {
+            self.journal.pop_back();
+            replayed += 1;
+        }
         self.st = state;
         if let (Some(inj), Some(tr)) = (&self.injector, &transient) {
             inj.borrow_mut().restore_transient(tr);

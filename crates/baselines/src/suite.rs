@@ -175,8 +175,6 @@ fn swap(
         iterations: params.iters,
         costs: params.costs.clone(),
         perf: params.perf.clone(),
-        cuda_malloc_cost: deepum_sim::time::Ns::from_micros(250),
-        staging_bandwidth_bps: 6.5e9,
     };
     run_swap(workload, strategy, &cfg)
 }

@@ -9,7 +9,7 @@
 //! `BENCH_serving.json`.
 //!
 //! With `--baseline FILE` (CI passes `ci/bench-baseline.json`) the run
-//! is gated like the tidy ratchet: a missing file is recorded, an
+//! is gated: a missing file is recorded, an
 //! existing one fails the run if any cell's report digest changed (the
 //! simulation's output is load-bearing; digests only change with an
 //! intentional behaviour change and a re-bless) or if serial suite

@@ -20,10 +20,24 @@ use deepum_mem::stripe::{join, split, StripeMap};
 use deepum_mem::BlockNum;
 use deepum_runtime::exec_table::ExecId;
 use deepum_um::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+use serde::{Deserialize, Serialize};
 
 use crate::correlation::block::TableStamp;
 use crate::correlation::{BlockCorrelationTable, ExecCorrelationTable};
-use crate::queues::PrefetchCommand;
+
+/// One prefetch command: which block to bring in, and for which predicted
+/// kernel execution.
+///
+/// "A prefetch command consists of a UM block address to prefetch and
+/// the execution ID for which the corresponding UM block is predicted to
+/// be used." (Section 3.1.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct PrefetchCommand {
+    /// UM block to prefetch.
+    pub block: BlockNum,
+    /// Execution ID of the kernel predicted to use the block.
+    pub exec: ExecId,
+}
 
 /// Outcome of one chaining step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -85,6 +85,7 @@ impl<T> CheckpointRing<T> {
     /// Creates a ring retaining up to `depth` generations (minimum 1).
     pub fn new(depth: usize) -> Self {
         CheckpointRing {
+            // deepum-tidy: allow(hot-path-alloc) -- constructor, runs once per run; an empty Vec does not allocate
             generations: Vec::new(),
             depth: depth.max(1),
         }

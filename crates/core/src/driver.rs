@@ -35,18 +35,17 @@ use deepum_trace::{emit, InjectKind, PressureLevel, SharedTracer, TraceEvent, Wa
 use deepum_um::driver::UmDriver;
 use deepum_um::hints::Advice;
 
-use crate::chain::{ChainStep, ChainWalk};
+use crate::chain::{ChainStep, ChainWalk, PrefetchCommand};
 use crate::config::DeepumConfig;
 use crate::correlation::{BlockCorrelationTable, ExecCorrelationTable};
 use crate::footprint::FootprintMap;
-use crate::queues::{PrefetchCommand, SpscQueue};
 use crate::watchdog::PrefetchWatchdog;
 
 /// Sentinel for "no kernel yet" in execution history.
 const NO_EXEC: ExecId = ExecId(u32::MAX);
 
 /// Capacity of the prefetch command queue.
-const PREFETCH_QUEUE_CAPACITY: usize = 8192;
+pub(crate) const PREFETCH_QUEUE_CAPACITY: usize = 8192;
 
 /// Pre-eviction keeps at least this many UM blocks of device memory free
 /// so demand faults find room without critical-path eviction.
@@ -89,7 +88,11 @@ pub struct DeepumDriver {
 
     // Prefetching thread state.
     pub(crate) chain: Option<ChainWalk>,
-    pub(crate) prefetch_q: SpscQueue<PrefetchCommand>,
+    /// The prefetch queue, bounded at [`PREFETCH_QUEUE_CAPACITY`]: the
+    /// prefetching thread pushes only while it has room.
+    pub(crate) prefetch_q: VecDeque<PrefetchCommand>,
+    /// Lifetime count of commands pushed onto `prefetch_q`.
+    pub(crate) prefetch_pushed: u64,
     /// Blocks currently sitting in the prefetch queue; chain restarts
     /// re-discover the same blocks, and duplicate commands would starve
     /// the far look-ahead out of the bounded queue.
@@ -152,7 +155,6 @@ impl DeepumDriver {
         if let Some(pressure) = cfg.pressure {
             um.install_pressure_governor(pressure);
         }
-        let prefetch_q = SpscQueue::new(PREFETCH_QUEUE_CAPACITY);
         let watchdog = cfg.watchdog.map(PrefetchWatchdog::new);
         DeepumDriver {
             um,
@@ -168,7 +170,8 @@ impl DeepumDriver {
             last_fault_block: None,
             pending_prediction: None,
             chain: None,
-            prefetch_q,
+            prefetch_q: VecDeque::new(),
+            prefetch_pushed: 0,
             enqueued: DenseBlockSet::new(),
             predicted_window: VecDeque::new(),
             kernel_seq: 0,
@@ -234,7 +237,7 @@ impl DeepumDriver {
     /// tenant changes across slots.
     pub fn local_counters(&self) -> Counters {
         let mut c = self.local;
-        c.prefetch_commands = self.prefetch_q.total_pushed();
+        c.prefetch_commands = self.prefetch_pushed;
         c
     }
 
@@ -271,7 +274,7 @@ impl DeepumDriver {
     pub fn counters(&self) -> Counters {
         let mut c = self.um.counters();
         c.merge(&self.local);
-        c.prefetch_commands = self.prefetch_q.total_pushed();
+        c.prefetch_commands = self.prefetch_pushed;
         c
     }
 
@@ -401,7 +404,7 @@ impl DeepumDriver {
             return;
         };
         let mut steps = 0;
-        while !self.prefetch_q.is_full() && steps < Self::PUMP_STEP_BUDGET {
+        while self.prefetch_q.len() < PREFETCH_QUEUE_CAPACITY && steps < Self::PUMP_STEP_BUDGET {
             steps += 1;
             match chain.step(&self.block_tables, &self.exec_corr, degree) {
                 ChainStep::Emit(cmd) => {
@@ -436,17 +439,17 @@ impl DeepumDriver {
                     {
                         continue;
                     }
-                    if self.prefetch_q.try_push(cmd).is_ok() {
-                        self.enqueued.insert(cmd.block);
-                        emit(
-                            &self.tracer,
-                            self.trace_now.as_nanos(),
-                            TraceEvent::PrefetchEnqueue {
-                                block: cmd.block.index(),
-                                pages: footprint.count() as u64,
-                            },
-                        );
-                    }
+                    self.prefetch_q.push_back(cmd);
+                    self.prefetch_pushed += 1;
+                    self.enqueued.insert(cmd.block);
+                    emit(
+                        &self.tracer,
+                        self.trace_now.as_nanos(),
+                        TraceEvent::PrefetchEnqueue {
+                            block: cmd.block.index(),
+                            pages: footprint.count() as u64,
+                        },
+                    );
                 }
                 ChainStep::Transition { predicted, ahead } => {
                     if ahead == 1 {
@@ -626,7 +629,7 @@ impl LaunchObserver for DeepumDriver {
                 );
             }
             if after == DegradationState::Disabled && before != after {
-                while self.prefetch_q.pop().is_some() {}
+                self.prefetch_q.clear();
                 self.enqueued.clear();
                 self.chain = None;
             }
@@ -811,7 +814,7 @@ impl UmBackend for DeepumDriver {
             if self.prefetch_q.is_empty() {
                 self.pump_chain();
             }
-            let Some(cmd) = self.prefetch_q.pop() else {
+            let Some(cmd) = self.prefetch_q.pop_front() else {
                 break;
             };
             let (h2d, d2h) = self.process_prefetch(now, cmd);

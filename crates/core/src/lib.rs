@@ -13,14 +13,15 @@
 //!   pointers used for chaining (Fig. 7);
 //! * [`chain`] — the prefetching thread's chaining walk: successor
 //!   expansion within the current kernel's table, then hopping to the
-//!   predicted next kernel's table at its *end* block (Section 4.2);
-//! * [`queues::SpscQueue`] — the single-producer/single-consumer fault
-//!   and prefetch queues (Section 3.1);
+//!   predicted next kernel's table at its *end* block (Section 4.2),
+//!   emitting [`chain::PrefetchCommand`]s;
 //! * [`driver::DeepumDriver`] — the four kernel threads (fault handling,
 //!   correlator, prefetching, migration) folded into one deterministic
 //!   component that implements the GPU engine's
 //!   [`deepum_gpu::engine::UmBackend`] and the runtime's
-//!   [`deepum_runtime::interpose::LaunchObserver`];
+//!   [`deepum_runtime::interpose::LaunchObserver`]. With the threads
+//!   folded together, the paper's single-producer/single-consumer
+//!   prefetch queue (Section 3.1) is a bounded `VecDeque`;
 //! * the two fault-handling optimizations: **pre-eviction** guided by the
 //!   correlation tables (Section 5.1) and **invalidation of UM blocks of
 //!   inactive PT blocks** (Section 5.2), toggled via
@@ -34,14 +35,13 @@ pub mod config;
 pub mod correlation;
 pub mod driver;
 pub mod footprint;
-pub mod queues;
 pub mod recovery;
 pub mod watchdog;
 
+pub use chain::PrefetchCommand;
 pub use config::DeepumConfig;
 pub use correlation::{BlockCorrelationTable, ExecCorrelationTable};
 pub use driver::DeepumDriver;
 pub use footprint::FootprintMap;
-pub use queues::{PrefetchCommand, SpscQueue};
-pub use recovery::{JournalEntry, LaunchJournal, RecoveryReport};
+pub use recovery::RecoveryReport;
 pub use watchdog::{PrefetchWatchdog, WatchdogConfig};

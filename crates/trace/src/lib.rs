@@ -19,6 +19,11 @@
 //!   emit site and produce reports byte-identical to pre-tracing
 //!   builds.
 //!
+//! A [`Tracer`] keeps raw records under one of three retentions:
+//! nothing ([`Tracer::null`]), the last *N* ([`Tracer::ring`], counting
+//! what it drops), or everything ([`Tracer::export`]). All three feed
+//! the per-kernel [`Timeline`].
+//!
 //! # Example
 //!
 //! ```
@@ -36,13 +41,13 @@
 pub mod event;
 pub mod export;
 pub mod report;
-pub mod sink;
 pub mod timeline;
+pub mod tracer;
 
 pub use event::{
     AdviceKind, EvictReason, InjectKind, PressureLevel, ServeLevel, ShedReason, TraceEvent,
     TraceRecord, WatchdogMode,
 };
 pub use report::TraceReport;
-pub use sink::{emit, shared, ExportSink, NullSink, RingSink, SharedTracer, TraceSink, Tracer};
 pub use timeline::{KernelTraceSummary, Timeline, CHAIN_DEPTH_BUCKETS};
+pub use tracer::{emit, shared, SharedTracer, Tracer};

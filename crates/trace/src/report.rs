@@ -6,7 +6,7 @@ use crate::event::TraceRecord;
 use crate::timeline::KernelTraceSummary;
 
 /// Roll-up of one traced run: per-kernel summaries, stream accounting,
-/// and (for ring sinks) the retained tail of raw records.
+/// and (for ring tracers) the retained tail of raw records.
 ///
 /// Attached to `deepum_baselines::report::RunReport` as an optional
 /// member that is omitted entirely when tracing is off, so untraced
@@ -15,14 +15,14 @@ use crate::timeline::KernelTraceSummary;
 pub struct TraceReport {
     /// Events emitted across the run.
     pub events_emitted: u64,
-    /// Events dropped by the sink (ring overflow). Non-zero marks the
+    /// Events dropped by a ring tracer's overflow. Non-zero marks the
     /// `tail` as truncated.
     pub events_dropped: u64,
     /// One summary per kernel launch, in launch order.
     pub kernels: Vec<KernelTraceSummary>,
     /// Events outside any kernel (allocation, checkpoints, drains).
     pub outside: KernelTraceSummary,
-    /// Last retained raw records (ring sinks only; empty otherwise).
+    /// Last retained raw records (ring tracers only; empty otherwise).
     pub tail: Vec<TraceRecord>,
 }
 
@@ -44,7 +44,7 @@ impl TraceReport {
 mod tests {
     use super::*;
     use crate::event::TraceEvent;
-    use crate::sink::Tracer;
+    use crate::tracer::Tracer;
 
     #[test]
     fn report_round_trips_through_serde() {

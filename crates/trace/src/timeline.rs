@@ -2,7 +2,8 @@
 //!
 //! The aggregator folds the raw event stream into one summary per
 //! kernel launch as events arrive, so a roll-up is available even when
-//! the sink itself keeps nothing (NullSink) or only a tail (RingSink).
+//! the tracer keeps no raw records (`Tracer::null`) or only a tail
+//! (`Tracer::ring`).
 //! All counters are integers; the prefetch hit *ratio* is derived on
 //! demand and never serialized, keeping reports byte-stable.
 

@@ -1480,7 +1480,9 @@ impl UmDriver {
         t.slot_foreign = Counters::new();
         std::mem::swap(&mut self.pressure, &mut ledger.governor);
         std::mem::swap(&mut self.protected, &mut ledger.protected);
+        // deepum-tidy: allow(hot-path-alloc) -- Rc handle clone (refcount bump) once per tenant slot switch, no heap allocation
         self.tracer = ledger.tracer.clone();
+        // deepum-tidy: allow(hot-path-alloc) -- Rc handle clone (refcount bump) once per tenant slot switch, no heap allocation
         self.injector = ledger.injector.clone();
     }
 

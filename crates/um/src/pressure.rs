@@ -412,6 +412,7 @@ fn level_from_tag(tag: u8) -> Result<PressureLevel, SnapshotError> {
         0 => Ok(PressureLevel::Normal),
         1 => Ok(PressureLevel::Elevated),
         2 => Ok(PressureLevel::Thrashing),
+        // deepum-tidy: allow(hot-path-alloc) -- error path: formats only on a malformed snapshot
         other => Err(SnapshotError::Corrupt(format!(
             "unknown pressure level tag {other}"
         ))),

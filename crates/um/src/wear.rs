@@ -37,13 +37,16 @@ impl DeviceWear {
     /// blacklist.
     pub fn new(pages: u64) -> Self {
         let usable = if pages > 0 {
+            // deepum-tidy: allow(hot-path-alloc) -- constructor, runs once per run
             vec![(0, pages)]
         } else {
+            // deepum-tidy: allow(hot-path-alloc) -- constructor, runs once per run; an empty Vec does not allocate
             Vec::new()
         };
         DeviceWear {
             initial_pages: pages,
             usable,
+            // deepum-tidy: allow(hot-path-alloc) -- constructor, runs once per run; an empty Vec does not allocate
             retired: Vec::new(),
             remigrated_pages: 0,
         }
@@ -65,14 +68,17 @@ impl DeviceWear {
         let mut cursor = 0u64;
         for &(start, end) in &retired {
             if start >= end {
+                // deepum-tidy: allow(hot-path-alloc) -- error path: formats only on a malformed snapshot
                 return Err(format!("empty or inverted retired extent [{start}, {end})"));
             }
             if start < cursor {
+                // deepum-tidy: allow(hot-path-alloc) -- error path: formats only on a malformed snapshot
                 return Err(format!(
                     "retired extent [{start}, {end}) unsorted or overlapping at frame {cursor}"
                 ));
             }
             if end > initial_pages {
+                // deepum-tidy: allow(hot-path-alloc) -- error path: formats only on a malformed snapshot
                 return Err(format!(
                     "retired extent [{start}, {end}) beyond device end {initial_pages}"
                 ));
@@ -223,11 +229,13 @@ impl DeviceWear {
             let mut prev_end = None;
             for &(start, end) in list {
                 if start >= end {
+                    // deepum-tidy: allow(hot-path-alloc) -- error path of validate(): formats only once an invariant is broken
                     return Err(format!(
                         "{name} extent [{start}, {end}) is empty or inverted"
                     ));
                 }
                 if end > self.initial_pages {
+                    // deepum-tidy: allow(hot-path-alloc) -- error path of validate(): formats only once an invariant is broken
                     return Err(format!(
                         "{name} extent [{start}, {end}) beyond device end {}",
                         self.initial_pages
@@ -235,11 +243,13 @@ impl DeviceWear {
                 }
                 if let Some(pe) = prev_end {
                     if start < pe {
+                        // deepum-tidy: allow(hot-path-alloc) -- error path of validate(): formats only once an invariant is broken
                         return Err(format!(
                             "{name} extent [{start}, {end}) overlaps or precedes previous end {pe}"
                         ));
                     }
                     if name == "retired" && start == pe {
+                        // deepum-tidy: allow(hot-path-alloc) -- error path of validate(): formats only once an invariant is broken
                         return Err(format!("retired extents not coalesced at frame {start}"));
                     }
                 }
@@ -250,6 +260,7 @@ impl DeviceWear {
         // usable list — the blacklist/extent-exclusion proof.
         for &(rs, re) in &self.retired {
             if self.usable.iter().any(|&(us, ue)| rs < ue && us < re) {
+                // deepum-tidy: allow(hot-path-alloc) -- error path of validate(): formats only once an invariant is broken
                 return Err(format!(
                     "retired extent [{rs}, {re}) overlaps a usable extent"
                 ));
@@ -258,6 +269,7 @@ impl DeviceWear {
         let usable = self.usable_pages();
         let retired = self.retired_pages();
         if usable + retired != self.initial_pages {
+            // deepum-tidy: allow(hot-path-alloc) -- error path of validate(): formats only once an invariant is broken
             return Err(format!(
                 "usable {usable} + retired {retired} frames != initial {}",
                 self.initial_pages
