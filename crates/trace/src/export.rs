@@ -1,7 +1,7 @@
 //! Cold-path trace rendering: JSONL and Chrome `trace_event` JSON.
 //!
 //! Nothing here runs while the simulation is executing — rendering
-//! happens after a run, over records a sink retained. This is the only
+//! happens after a run, over records a tracer retained. This is the only
 //! module of the crate where string formatting is allowed (the
 //! `trace-determinism` tidy lint forbids it everywhere else).
 
